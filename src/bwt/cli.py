@@ -300,7 +300,7 @@ def cmd_geodesic(args) -> int:
     print("t        rank  w2_from_a            w2_to_b              kind")
     for t in cfg.t_samples:
         gamma = path.gamma(t)
-        cls = geo.classify_point(a, b, gamma, t)
+        cls, d1, d2 = geo._classify(a, b, gamma, t, d)
         fname = f"{args.out_prefix}_t{_t_tag(t)}.json"
         write_matrix(fname, gamma.data)
         samples.append(
@@ -308,8 +308,8 @@ def cmd_geodesic(args) -> int:
                 "t": float(t),
                 "file": fname,
                 "rank": cls.rank_gamma,
-                "w2_from_a": w2_distance(a, gamma),
-                "w2_to_b": w2_distance(gamma, b),
+                "w2_from_a": d1,
+                "w2_to_b": d2,
                 "kind": cls.kind,
                 "schur_norm": cls.schur_norm,
             }

@@ -218,7 +218,14 @@ def classify_point(a: CovMatrix, b: CovMatrix, gamma: CovMatrix,
     """
     if not 0.0 <= t <= 1.0:
         raise InvalidParam(f"geodesic parameter must lie in [0, 1], got {t}")
-    d = w2_distance(a, b)
+    return _classify(a, b, gamma, t, w2_distance(a, b))[0]
+
+
+def _classify(a: CovMatrix, b: CovMatrix, gamma: CovMatrix, t: float,
+              d: float) -> tuple[PointClass, float, float]:
+    """:func:`classify_point` for a parameter already checked to lie in
+    [0, 1], given ``d = w2(a, b)``; also returns w2(a, gamma) and
+    w2(gamma, b)."""
     d1 = w2_distance(a, gamma)
     d2 = w2_distance(gamma, b)
     tol = MEMBERSHIP_TOL * (1.0 + d)
@@ -231,13 +238,13 @@ def classify_point(a: CovMatrix, b: CovMatrix, gamma: CovMatrix,
     rank_g = numeric_rank(gamma)
     rank_a = numeric_rank(a)
     if t == 0.0 or t == 1.0:
-        return PointClass("extreme", rank_g, rank_a, 0.0)
+        return PointClass("extreme", rank_g, rank_a, 0.0), d1, d2
 
     sc = schur_complement(a, gamma)
     norm_sc = float(np.linalg.norm(sc.value))
     g_scale = float(np.linalg.norm(gamma.data))
     kind = "extreme" if norm_sc <= DEFAULT_TOL_MAP * (1.0 + g_scale) else "interior"
-    return PointClass(kind, rank_g, rank_a, norm_sc)
+    return PointClass(kind, rank_g, rank_a, norm_sc), d1, d2
 
 
 def sample_path(path: GeodesicPath, ts) -> list[CovMatrix]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import InvalidInput
 
@@ -181,7 +180,8 @@ def green_factor(a: CovMatrix, method: str = "spectral") -> GreenFactor:
     columns; ``method="pivoted_cholesky"`` returns a permuted lower-triangular
     factor computed by LAPACK's dpstrf with pivoting stopped at
     ``tol_rel * max(diag)``.  Both satisfy the same contract, they just pick
-    different members of the factor family.
+    different members of the factor family.  scipy is imported inside the
+    ``pivoted_cholesky`` branch, so importing bwt loads numpy alone.
     """
     n = a.n
     if method == "spectral":
@@ -191,6 +191,8 @@ def green_factor(a: CovMatrix, method: str = "spectral") -> GreenFactor:
             g[:, : dec.rank] = dec.eigvecs[:, : dec.rank] * np.sqrt(dec.eigvals[: dec.rank])
         return GreenFactor(g=g, parent_dim=n)
     if method == "pivoted_cholesky":
+        from scipy.linalg import lapack
+
         dmax = max(float(a.data.diagonal().max()), 0.0)
         pivot_tol = a.tol_rel * dmax if dmax > 0.0 else -1.0
         c, piv, rank, info = lapack.dpstrf(a.data, tol=pivot_tol, lower=1)

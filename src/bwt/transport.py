@@ -152,9 +152,6 @@ class _Core:
         fw[live] = w[live] ** p
         return _sym((u * fw) @ u.T)
 
-    def x_pinv_pow(self, p: float) -> np.ndarray:
-        return self._x_pow(-p)
-
     def assemble(self, t11, t12, t21, t22) -> np.ndarray:
         blk = np.zeros((self.n, self.n))
         blk[: self.r, : self.r] = t11
@@ -207,9 +204,10 @@ def is_reachable(a: CovMatrix, b: CovMatrix) -> bool:
     return numeric_rank(a) >= numeric_rank(b)
 
 
-def _finish_map(core: _Core, t11, t12, t21, t22, u12, tag: str, tol_map: float) -> TransportMap:
-    t = core.assemble(t11, t12, t21, t22)
-    a, b = core.a, core.b
+def _checked_map(a: CovMatrix, b: CovMatrix, t, t11, t21, u12, tag: str,
+                 tol_map: float) -> TransportMap:
+    """Wrap a map with its transport and optimality residuals; a transport
+    residual above ``tol_map * (1 + ||b||)`` raises NumericalInconsistency."""
     b_scale = float(np.linalg.norm(b.data))
     res_t = float(np.linalg.norm(t @ a.data @ t.T - b.data))
     res_o = abs(float(np.trace(a.data @ t)) - trace_fidelity(a, b))
@@ -241,23 +239,7 @@ def pusz_woronowicz(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MAP
     inv_root = psd_function(a, "pinv_sqrt")
     mid = _psd_apply(_sym(root @ b.data @ root), "sqrt", max(a.tol_rel, b.tol_rel))
     t = _sym(inv_root @ mid @ inv_root)
-
-    b_scale = float(np.linalg.norm(b.data))
-    res_t = float(np.linalg.norm(t @ a.data @ t.T - b.data))
-    res_o = abs(float(np.trace(a.data @ t)) - trace_fidelity(a, b))
-    if res_t > tol_map * (1.0 + b_scale):
-        raise NumericalInconsistency(
-            f"transport residual {res_t:.3e} exceeds {tol_map:.1e} * (1 + ||b||)"
-        )
-    return TransportMap(
-        t=t,
-        t11=t,
-        t21=np.zeros((0, a.n)),
-        u12=np.zeros((a.n, 0)),
-        free_blocks="none",
-        residual_transport=res_t,
-        residual_optimality=res_o,
-    )
+    return _checked_map(a, b, t, t, np.zeros((0, a.n)), np.zeros((a.n, 0)), "none", tol_map)
 
 
 def ot_map(
@@ -324,11 +306,12 @@ def ot_map(
                 "no symmetric PSD transport map exists"
             )
         t12 = core.ig11 @ core.x_pinv_sqrt @ core.g11 @ core.bv.b12
-        t22 = core.bv.b21 @ core.g11 @ core.x_pinv_pow(1.5) @ core.g11 @ core.bv.b12
+        t22 = core.bv.b21 @ core.g11 @ core._x_pow(-1.5) @ core.g11 @ core.bv.b12
     else:
         raise InvalidParam(f"unknown free-block policy {free_policy!r}")
 
-    return _finish_map(core, t11, t12, t21, t22, u12_blk, free_policy, tol_map)
+    t = core.assemble(t11, t12, t21, t22)
+    return _checked_map(a, b, t, t11, t21, u12_blk, free_policy, tol_map)
 
 
 def _validate_isometry(core: _Core, u12_blk: np.ndarray, tol_map: float) -> None:
@@ -391,7 +374,7 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     # 1. construct the canonical candidate unconditionally and test it
     t11 = _sym(core.ig11 @ core.x_sqrt @ core.ig11)
     t12 = core.ig11 @ core.x_pinv_sqrt @ core.g11 @ core.bv.b12
-    t22 = core.bv.b21 @ core.g11 @ core.x_pinv_pow(1.5) @ core.g11 @ core.bv.b12
+    t22 = core.bv.b21 @ core.g11 @ core._x_pow(-1.5) @ core.g11 @ core.bv.b12
     cand = core.assemble(t11, t12, t12.T, t22)
     res_t = float(np.linalg.norm(cand @ a.data @ cand.T - b.data))
     eig_min = float(np.linalg.eigvalsh(_sym(cand))[0])

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -283,3 +286,27 @@ def test_parser_exits(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_import_path_loads_no_scipy(tmp_path):
+    # scipy serves only green_factor(method="pivoted_cholesky"); neither
+    # importing bwt nor a CLI call may pay for loading it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import bwt, bwt.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert probe.stdout.strip() == "[]"
+
+    a = write_mat(tmp_path, "a.json", A3)
+    b = write_mat(tmp_path, "b.json", B3)
+    call = subprocess.run([sys.executable, "-X", "importtime", "-m", "bwt.cli", "distance", a, b],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert call.returncode == 0, call.stderr
+    assert "w2: 2.4494897427831779" in call.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in call.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
