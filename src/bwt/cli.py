@@ -36,6 +36,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL_REL, CovMatrix, numeric_rank, spectral_decompose, trace_fidelity
 from .transport import (
     DEFAULT_TOL_MAP,
+    _w2_from_fidelity,
     canonical_spd_map,
     is_reachable,
     ot_map,
@@ -210,7 +211,8 @@ def cmd_distance(args) -> int:
     b = _load_cov(args.b, cfg.tol_rel)
     if a.n != b.n:
         raise InvalidInput(f"dimension mismatch: {a.n} vs {b.n}")
-    d = w2_distance(a, b)
+    fidelity = trace_fidelity(a, b)
+    d = _w2_from_fidelity(a, b, fidelity)
     report = {
         "command": "distance",
         "n": a.n,
@@ -219,7 +221,7 @@ def cmd_distance(args) -> int:
         "reachable_a_to_b": is_reachable(a, b),
         "w2": d,
         "w2_squared": d * d,
-        "trace_fidelity": trace_fidelity(a, b),
+        "trace_fidelity": fidelity,
     }
     for key in ("n", "rank_a", "rank_b", "reachable_a_to_b"):
         print(f"{key}: {report[key]}")
@@ -258,7 +260,10 @@ def cmd_map(args) -> int:
 
     if not args.check_only:
         if args.spd_canonical:
-            tmap = canonical_spd_map(a, b, tol_map=cfg.tol_map)
+            # the witness is this map; without one, canonical_spd_map says why
+            tmap = spd.witness
+            if tmap is None:
+                tmap = canonical_spd_map(a, b, tol_map=cfg.tol_map)
             report["u12_policy"] = "deterministic"
         else:
             policy = {"det": "deterministic", "neg": "negated"}[args.u12]

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidInput, InvalidParam, Unreachable
 from .linalg import CovMatrix, _psd_apply, _sym, numeric_rank
 from .schur import schur_complement
-from .transport import DEFAULT_TOL_MAP, TransportMap, _Core, is_reachable, w2_distance
+from .transport import DEFAULT_TOL_MAP, TransportMap, _core, _Core, is_reachable, w2_distance
 
 #: Relative tolerance for deciding that a covariance sits on the geodesic
 #: between two others (two-sided distance identity).
@@ -83,7 +83,11 @@ def make_param(a: CovMatrix, b: CovMatrix, style: str = "extreme",
     n12 = s * extreme with the leftover sqrt(1 - s^2) weight on m22, for
     s in [-1, 1].
     """
-    core = _Core(a, b)
+    return _make_param(_core(a, b), a, b, style, s)
+
+
+def _make_param(core: _Core, a: CovMatrix, b: CovMatrix, style: str,
+                s: float | None) -> GeodesicParam:
     root = core.schur_sqrt
 
     if style == "zero":
@@ -110,7 +114,7 @@ def make_param(a: CovMatrix, b: CovMatrix, style: str = "extreme",
     else:
         raise InvalidParam(f"unknown geodesic style {style!r}")
 
-    kind = "monge" if _is_zero(m22, core) else "interior"
+    kind = "monge" if _is_zero(m22, b) else "interior"
     return GeodesicParam(n12=n12, m22=m22, kind=kind)
 
 
@@ -122,13 +126,12 @@ def raw_param(a: CovMatrix, b: CovMatrix, n12: np.ndarray,
     the Schur complement of (a, b); the free factor block is completed with
     the symmetric PSD square root of the leftover.
     """
-    core = _Core(a, b)
+    core = _core(a, b)
     n12 = np.asarray(n12, dtype=float)
     if n12.shape != (core.r, core.n2):
         raise InvalidParam(f"n12 must have shape ({core.r}, {core.n2}), got {n12.shape}")
 
-    b11_root = _psd_apply(core.bv.b11, "sqrt", core.tol)
-    k = b11_root @ core.g11
+    k = core.k
     scale = max(float(np.linalg.norm(k)), 1.0) * max(float(np.linalg.norm(n12)), 1.0)
     if np.linalg.norm(k @ n12) > tol_map * scale:
         raise InvalidParam("n12 range is not inside null(b11^(1/2) g11)")
@@ -140,12 +143,12 @@ def raw_param(a: CovMatrix, b: CovMatrix, n12: np.ndarray,
         if w[0] < -tol_map * s_scale:
             raise InvalidParam("n12.T n12 exceeds the Schur complement of the pair")
     m22 = _psd_apply(diff, "sqrt", core.tol)
-    kind = "monge" if _is_zero(m22, core) else "interior"
+    kind = "monge" if _is_zero(m22, b) else "interior"
     return GeodesicParam(n12=n12, m22=m22, kind=kind)
 
 
-def _is_zero(m22: np.ndarray, core: _Core) -> bool:
-    b_scale = float(np.linalg.norm(core.b.data))
+def _is_zero(m22: np.ndarray, b: CovMatrix) -> bool:
+    b_scale = float(np.linalg.norm(b.data))
     return float(np.linalg.norm(m22)) <= DEFAULT_TOL_MAP * (1.0 + b_scale)
 
 
@@ -156,7 +159,10 @@ def green_pair(a: CovMatrix, b: CovMatrix, param: GeodesicParam):
     with g.T m symmetric PSD, so linear interpolation of the two factors
     traces a geodesic.
     """
-    core = _Core(a, b)
+    return _green_pair(_core(a, b), param)
+
+
+def _green_pair(core: _Core, param: GeodesicParam):
     n12 = np.asarray(param.n12, dtype=float)
     m22 = np.asarray(param.m22, dtype=float)
     if n12.shape != (core.r, core.n2) or m22.shape != (core.n2, core.n2):
@@ -178,8 +184,9 @@ def green_pair(a: CovMatrix, b: CovMatrix, param: GeodesicParam):
 def make_path(a: CovMatrix, b: CovMatrix, style: str = "extreme",
               s: float | None = None) -> GeodesicPath:
     """Convenience constructor: named parameter plus its factor pair."""
-    param = make_param(a, b, style=style, s=s)
-    g, m = green_pair(a, b, param)
+    core = _core(a, b)
+    param = _make_param(core, a, b, style, s)
+    g, m = _green_pair(core, param)
     return GeodesicPath(a, b, param, g, m)
 
 

@@ -4,10 +4,20 @@ Every rank decision in the package goes through the same relative threshold:
 an eigenvalue counts as nonzero when it exceeds ``tol_rel * lambda_max`` (for
 singular values, ``tol_rel * sigma_max``).  The tolerance travels with each
 :class:`CovMatrix`, so callers pick it once at construction time.
+
+Decompositions are shared rather than repeated.  A :class:`CovMatrix` keeps
+the eigenvalues its validation computed (for lambda_max and the numeric
+rank), and a small cache keyed by object identity (:func:`_memoized`) holds
+the last few eigendecompositions, pair contexts and pair results.  Every
+shared value is what a fresh computation on the same, immutable input would
+return, so results do not depend on what the cache holds.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +25,39 @@ import numpy as np
 from .errors import InvalidInput
 
 DEFAULT_TOL_REL = 1e-10
+
+#: Entries the decomposition cache keeps: enough for the spectra, pair
+#: context and pair results of a source, a target and one point between them.
+_MEMO_SIZE = 12
+_memo: OrderedDict = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _memoized(tag: str, objs: tuple, build):
+    """``build()`` for the objects ``objs``, shared while they are alive.
+
+    Entries are keyed by ``tag`` and the objects' ids and hold only weak
+    references to them, so the cache never keeps an object alive.  Entries
+    of dead objects are dropped before every lookup, which makes a reused id
+    a miss; past ``_MEMO_SIZE`` entries the least recently used goes.  The
+    objects must be immutable (a CovMatrix's data is read-only), and a
+    caller must not mutate what it gets back.
+    """
+    key = (tag, *map(id, objs))
+    with _memo_lock:
+        for k in [k for k, (refs, _) in _memo.items() if any(r() is None for r in refs)]:
+            del _memo[k]
+        hit = _memo.get(key)
+        if hit is not None:
+            _memo.move_to_end(key)
+            return hit[1]
+    value = build()
+    with _memo_lock:
+        _memo[key] = (tuple(map(weakref.ref, objs)), value)
+        _memo.move_to_end(key)
+        while len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
+    return value
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -27,7 +70,9 @@ class CovMatrix:
 
     Symmetry is enforced up to ``tol_rel * ||data||_F`` (then symmetrized);
     eigenvalues down to ``-tol_rel * lambda_max`` are clamped to zero, anything
-    more negative is rejected.
+    more negative is rejected.  ``data`` is the matrix's own read-only copy;
+    the eigenvalues computed to validate it are kept for :attr:`lam_max` and
+    :func:`numeric_rank`.
 
     Raises
     ------
@@ -61,14 +106,29 @@ class CovMatrix:
                 f"(lambda_max = {lam_max:.3e}, tol_rel = {self.tol_rel:.1e})"
             )
         if w[0] < 0.0:
-            # negatives within tolerance: clamp to zero and rebuild
+            # negatives within tolerance: clamp to zero and rebuild; the
+            # eigenvalues of the rebuilt matrix are computed when first needed
             w_full, u = np.linalg.eigh(data)
             data = _sym((u * np.clip(w_full, 0.0, None)) @ u.T)
+            w = None
+        data.flags.writeable = False
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_eigvals", w)
 
     @property
     def n(self) -> int:
         return self.data.shape[0]
+
+    def _ascending_eigvals(self) -> np.ndarray:
+        """The eigenvalues of ``data`` from ``eigvalsh``, ascending."""
+        if self._eigvals is None:
+            object.__setattr__(self, "_eigvals", np.linalg.eigvalsh(self.data))
+        return self._eigvals
+
+    @property
+    def lam_max(self) -> float:
+        """The largest eigenvalue, floored at zero."""
+        return max(float(self._ascending_eigvals()[-1]), 0.0)
 
     def trace(self) -> float:
         return float(np.trace(self.data))
@@ -113,6 +173,18 @@ def _as_reference(g) -> np.ndarray:
     return mat
 
 
+def _eigh(a: CovMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(a.data)``, shared through the decomposition cache."""
+
+    def build():
+        w, u = np.linalg.eigh(a.data)
+        w.flags.writeable = False
+        u.flags.writeable = False
+        return w, u
+
+    return _memoized("eigh", (a,), build)
+
+
 def spectral_decompose(a: CovMatrix) -> SpectralDecomp:
     """Eigendecomposition with a deterministic sign convention.
 
@@ -120,7 +192,7 @@ def spectral_decompose(a: CovMatrix) -> SpectralDecomp:
     first component of largest absolute value is positive, which pins the
     basis down to a reproducible choice.
     """
-    w, u = np.linalg.eigh(a.data)
+    w, u = _eigh(a)
     w = w[::-1].copy()
     u = u[:, ::-1].copy()
     for j in range(u.shape[1]):
@@ -134,9 +206,19 @@ def spectral_decompose(a: CovMatrix) -> SpectralDecomp:
 
 def _psd_apply(mat: np.ndarray, f: str, tol_rel: float) -> np.ndarray:
     """Apply sqrt / pinv / pinv_sqrt to a raw symmetric PSD array."""
+    return _psd_functions(mat, (f,), tol_rel)[0]
+
+
+def _psd_functions(mat: np.ndarray, fs, tol_rel: float) -> list:
+    """:func:`_psd_apply` for each name in ``fs``, from one eigendecomposition."""
     if mat.shape[0] == 0:
-        return mat.copy()
+        return [mat.copy() for _ in fs]
     w, u = np.linalg.eigh(_sym(mat))
+    return [_psd_from_eigh(w, u, f, tol_rel) for f in fs]
+
+
+def _psd_from_eigh(w: np.ndarray, u: np.ndarray, f: str, tol_rel: float) -> np.ndarray:
+    """A spectral function of the matrix with ascending eigenpairs (w, u)."""
     cut = tol_rel * max(w[-1], 0.0)
     live = w > cut
     fw = np.zeros_like(w)
@@ -161,12 +243,13 @@ def psd_function(a: CovMatrix, f: str) -> np.ndarray:
         Eigenvalues at or below ``tol_rel * lambda_max`` are treated as zero,
         so ``pinv`` variants are Moore-Penrose on the numeric range.
     """
-    return _psd_apply(a.data, f, a.tol_rel)
+    w, u = _eigh(a)
+    return _psd_from_eigh(w, u, f, a.tol_rel)
 
 
 def numeric_rank(a: CovMatrix) -> int:
     """Number of eigenvalues above ``tol_rel * lambda_max``."""
-    w = np.linalg.eigvalsh(a.data)
+    w = a._ascending_eigvals()
     lam_max = max(w[-1], 0.0)
     if lam_max == 0.0:
         return 0
@@ -238,13 +321,15 @@ def trace_fidelity(a: CovMatrix, b: CovMatrix) -> float:
         raise InvalidInput(f"dimension mismatch: {a.n} vs {b.n}")
     if a.data.tobytes() > b.data.tobytes():
         a, b = b, a
+    return _memoized("fidelity", (a, b), lambda: _fidelity(a, b))
+
+
+def _fidelity(a: CovMatrix, b: CovMatrix) -> float:
     g = green_factor(a).g
     w = np.linalg.eigvalsh(_sym(g.T @ b.data @ g))
     # Eigenvalues of g.T b g below the pair's noise floor are dropped before
     # the square root: sqrt amplifies an O(eps)-sized eigenvalue to O(
     # sqrt(eps)), which would otherwise dominate the error in the sum.
-    lam_a = max(float(np.linalg.eigvalsh(a.data)[-1]), 0.0)
-    lam_b = max(float(np.linalg.eigvalsh(b.data)[-1]), 0.0)
-    cut = max(a.tol_rel, b.tol_rel) * lam_a * lam_b
+    cut = max(a.tol_rel, b.tol_rel) * a.lam_max * b.lam_max
     w = np.where(w > cut, w, 0.0)
     return float(np.sqrt(w).sum())

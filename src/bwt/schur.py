@@ -23,6 +23,7 @@ from .errors import InvalidInput, NumericalInconsistency
 from .linalg import (
     CovMatrix,
     GreenFactor,
+    _memoized,
     _psd_apply,
     _sym,
     green_factor,
@@ -112,10 +113,15 @@ def schur_complement(a: CovMatrix, b: CovMatrix) -> SchurResult:
     """
     if b.n != a.n:
         raise InvalidInput(f"dimension mismatch: {a.n} vs {b.n}")
+    res = _memoized("schur", (a, b), lambda: _schur_complement(a, b))
+    return SchurResult(value=res.value.copy(), rank=res.rank, path_residual=res.path_residual)
+
+
+def _schur_complement(a: CovMatrix, b: CovMatrix) -> SchurResult:
     bv = block_decompose(a, b)
     tol = max(a.tol_rel, b.tol_rel)
-    lam_a = max(float(np.linalg.eigvalsh(a.data)[-1]), 0.0) if a.n else 0.0
-    lam_b = max(float(np.linalg.eigvalsh(b.data)[-1]), 0.0) if b.n else 0.0
+    lam_a = a.lam_max
+    lam_b = b.lam_max
 
     # route 1: defining formula in block coordinates
     w = _psd_apply(bv.b11, "pinv_sqrt", tol) @ bv.b12
@@ -164,8 +170,6 @@ def schur_rank_identity(a: CovMatrix, b: CovMatrix, g: GreenFactor | None = None
     tol = max(a.tol_rel, b.tol_rel)
     # g.T b g lives on the scale lam_max(a) * lam_max(b); anchor the cut there
     # so an all-noise compression (range(b) inside null(a)) counts as rank 0.
-    scale = max(float(np.linalg.eigvalsh(a.data)[-1]), 0.0) * max(
-        float(np.linalg.eigvalsh(b.data)[-1]), 0.0
-    )
+    scale = a.lam_max * b.lam_max
     inner_rank = int(np.count_nonzero(w > tol * scale)) if scale > 0.0 else 0
     return lhs, numeric_rank(b) - inner_rank

@@ -11,6 +11,7 @@ representative (when one exists), couplings, and the dual potentials.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,9 @@ from .errors import (
 from .linalg import (
     CovMatrix,
     GreenFactor,
+    _memoized,
     _psd_apply,
+    _psd_functions,
     _sym,
     numeric_rank,
     psd_function,
@@ -93,36 +96,41 @@ class SpdReachReport:
     witness: TransportMap | None
 
 
+def _core(a: CovMatrix, b: CovMatrix) -> "_Core":
+    """The pair context of (a, b), built once and shared while both live."""
+    if a.n != b.n:
+        raise InvalidInput(f"dimension mismatch: {a.n} vs {b.n}")
+    return _memoized("core", (a, b), lambda: _Core(a, b))
+
+
 class _Core:
     """Shared block data for the map constructions: the range/null split of a,
     the factor g11 of a11, the compressed matrix x = g11 b11 g11 with its
-    spectral functions, and the Schur complement via the x-route."""
+    spectral functions, and the Schur complement via the x-route.
+
+    One context serves every construction on the pair (get it from
+    :func:`_core`).  It holds no reference to a or b, and no array in it is
+    written after it is computed."""
 
     def __init__(self, a: CovMatrix, b: CovMatrix):
-        if a.n != b.n:
-            raise InvalidInput(f"dimension mismatch: {a.n} vs {b.n}")
-        self.a = a
-        self.b = b
         self.tol = max(a.tol_rel, b.tol_rel)
         self.bv: BlockView = block_decompose(a, b)
         self.n = a.n
         self.r = self.bv.rank
         self.n2 = self.n - self.r
 
-        self.g11 = _psd_apply(self.bv.a11, "sqrt", a.tol_rel)
-        self.ig11 = _psd_apply(self.bv.a11, "pinv_sqrt", a.tol_rel)
+        self.g11, self.ig11 = _psd_functions(self.bv.a11, ("sqrt", "pinv_sqrt"), a.tol_rel)
 
         # Every spectral cut below is anchored to the pair's scale rather than
         # the derived matrix's own top eigenvalue, so a block that is pure
         # roundoff (e.g. the Schur complement when b is reachable) is treated
         # as exactly zero instead of acquiring phantom rank.
-        self.lam_a = max(float(np.linalg.eigvalsh(a.data)[-1]), 0.0) if self.n else 0.0
-        self.lam_b = max(float(np.linalg.eigvalsh(b.data)[-1]), 0.0) if self.n else 0.0
+        self.lam_a = a.lam_max
+        self.lam_b = b.lam_max
 
         x = _sym(self.g11 @ self.bv.b11 @ self.g11)
         w, u = np.linalg.eigh(x)
         cut = self.tol * self.lam_a * self.lam_b
-        self.x = x
         self._x_eigvals = w
         self._x_eigvecs = u
         self._x_live = w > cut if cut > 0.0 else np.zeros_like(w, dtype=bool)
@@ -161,12 +169,22 @@ class _Core:
         q = np.hstack([self.bv.q1, self.bv.q2])
         return q @ blk @ q.T
 
+    @functools.cached_property
+    def k(self) -> np.ndarray:
+        """b11^(1/2) g11, whose null space must hold the range of u12 / n12."""
+        return _psd_apply(self.bv.b11, "sqrt", self.tol) @ self.g11
+
     def deterministic_u12(self) -> np.ndarray:
         """The canonical partial isometry null(a)-coords -> range(a)-coords.
 
         Pairs the descending eigenvectors of the Schur complement with an
         SVD-derived basis of null(b11^(1/2) g11), taken in its natural order.
+        Computed once per context; each call returns a fresh copy.
         """
+        return self._u12.copy()
+
+    @functools.cached_property
+    def _u12(self) -> np.ndarray:
         u12 = np.zeros((self.r, self.n2))
         if self.schur_rank == 0:
             return u12
@@ -177,9 +195,7 @@ class _Core:
             if su[i, j] < 0.0:
                 su[:, j] = -su[:, j]
 
-        b11_root = _psd_apply(self.bv.b11, "sqrt", self.tol)
-        k = b11_root @ self.g11
-        _, sdiag, vt = np.linalg.svd(k)
+        _, sdiag, vt = np.linalg.svd(self.k)
         keep = sdiag > self.tol * np.sqrt(self.lam_a * self.lam_b)
         v_null = vt[int(np.count_nonzero(keep)) :].T
         if v_null.shape[1] < self.schur_rank:
@@ -192,7 +208,11 @@ class _Core:
 
 def w2_distance(a: CovMatrix, b: CovMatrix) -> float:
     """The 2-Wasserstein distance between N(0, a) and N(0, b)."""
-    gap = a.trace() + b.trace() - 2.0 * trace_fidelity(a, b)
+    return _w2_from_fidelity(a, b, trace_fidelity(a, b))
+
+
+def _w2_from_fidelity(a: CovMatrix, b: CovMatrix, fidelity: float) -> float:
+    gap = a.trace() + b.trace() - 2.0 * fidelity
     return float(np.sqrt(max(gap, 0.0)))
 
 
@@ -270,12 +290,30 @@ def ot_map(
     NoSpdMap
         If ``free_policy="spd_canonical"`` but no symmetric PSD map exists.
     """
+    _check_reachable(a, b)
+    return _ot_map(_core(a, b), a, b, u12_policy, u12, free_policy, tol_map)
+
+
+def _check_reachable(a: CovMatrix, b: CovMatrix) -> None:
     if not is_reachable(a, b):
         raise Unreachable(
             f"rank(a) = {numeric_rank(a)} < rank(b) = {numeric_rank(b)}; "
             "no transport map exists in this direction"
         )
-    core = _Core(a, b)
+
+
+def _check_spd(core: _Core, b: CovMatrix, tol_map: float) -> None:
+    b_scale = float(np.linalg.norm(b.data))
+    if np.linalg.norm(core.schur) > tol_map * (1.0 + b_scale):
+        raise NoSpdMap(
+            "the Schur complement of the pair is nonzero; "
+            "no symmetric PSD transport map exists"
+        )
+
+
+def _ot_map(core: _Core, a: CovMatrix, b: CovMatrix, u12_policy: str, u12,
+            free_policy: str, tol_map: float) -> TransportMap:
+    """:func:`ot_map` on the pair's context, once reachability is checked."""
     r, n2 = core.r, core.n2
 
     if u12_policy == "deterministic":
@@ -299,12 +337,7 @@ def ot_map(
         t12 = t21.T
         t22 = np.zeros((n2, n2))
     elif free_policy == "spd_canonical":
-        b_scale = float(np.linalg.norm(b.data))
-        if np.linalg.norm(core.schur) > tol_map * (1.0 + b_scale):
-            raise NoSpdMap(
-                "the Schur complement of the pair is nonzero; "
-                "no symmetric PSD transport map exists"
-            )
+        _check_spd(core, b, tol_map)
         t12 = core.ig11 @ core.x_pinv_sqrt @ core.g11 @ core.bv.b12
         t22 = core.bv.b21 @ core.g11 @ core._x_pow(-1.5) @ core.g11 @ core.bv.b12
     else:
@@ -317,8 +350,7 @@ def ot_map(
 def _validate_isometry(core: _Core, u12_blk: np.ndarray, tol_map: float) -> None:
     """Check a supplied u12: range inside null(b11^(1/2) g11), and u12.T u12
     equal to the projector onto range of the Schur complement."""
-    b11_root = _psd_apply(core.bv.b11, "sqrt", core.tol)
-    k = b11_root @ core.g11
+    k = core.k
     scale = max(float(np.linalg.norm(k)), 1.0) * max(float(np.linalg.norm(u12_blk)), 1.0)
     if np.linalg.norm(k @ u12_blk) > tol_map * scale:
         raise InvalidParam("u12 range is not inside null(b11^(1/2) g11)")
@@ -343,14 +375,14 @@ def canonical_spd_map(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_M
         If the Schur complement of (a, b) is nonzero, in which case no
         symmetric PSD transport map exists at all.
     """
-    core = _Core(a, b)
-    b_scale = float(np.linalg.norm(b.data))
-    if np.linalg.norm(core.schur) > tol_map * (1.0 + b_scale):
-        raise NoSpdMap(
-            "the Schur complement of the pair is nonzero; "
-            "no symmetric PSD transport map exists"
-        )
-    return ot_map(a, b, free_policy="spd_canonical", tol_map=tol_map)
+    return _canonical_spd_map(_core(a, b), a, b, tol_map)
+
+
+def _canonical_spd_map(core: _Core, a: CovMatrix, b: CovMatrix,
+                       tol_map: float) -> TransportMap:
+    _check_spd(core, b, tol_map)
+    _check_reachable(a, b)
+    return _ot_map(core, a, b, "deterministic", None, "spd_canonical", tol_map)
 
 
 def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MAP) -> SpdReachReport:
@@ -366,8 +398,11 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     3. the Schur complement of (a, b) vanishes in norm,
     4. rank(b) = rank(b a),
     5. range(b) intersects null(a) trivially (principal angles).
+
+    The criteria share the spectra of a and b, and the canonical witness is
+    built on the context of criterion 1.
     """
-    core = _Core(a, b)
+    core = _core(a, b)
     b_scale = float(np.linalg.norm(b.data))
     tol_abs = tol_map * (1.0 + b_scale)
 
@@ -414,7 +449,7 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
             f"intersection={trivial_intersection}"
         )
 
-    witness = canonical_spd_map(a, b, tol_map=tol_map) if spd_exists else None
+    witness = _canonical_spd_map(core, a, b, tol_map) if spd_exists else None
     return SpdReachReport(
         spd_exists=spd_exists,
         as_unique=as_unique,
