@@ -118,10 +118,18 @@ def fixed_point_residual(problem: BarycenterProblem, a_hat: CovMatrix) -> float:
     return float(np.linalg.norm(a_hat.data - acc))
 
 
-def _result_from_greens(problem, greens, iterations, converged, history) -> BarycenterResult:
+def _mean_factor(problem: BarycenterProblem, greens) -> np.ndarray:
+    """g_hat = sum_i p_i g_i."""
     g_hat = np.zeros((problem.n, problem.n))
     for w, g in zip(problem.weights, greens):
         g_hat += w * g
+    return g_hat
+
+
+def _result_from_greens(problem, greens, iterations, converged, history=None) -> BarycenterResult:
+    """The result for final factors ``greens``; without a ``history`` (a
+    closed form) the history is the final objective alone."""
+    g_hat = _mean_factor(problem, greens)
     a_hat = CovMatrix(g_hat @ g_hat.T, tol_rel=max(c.tol_rel for c in problem.covs))
     objective = float(np.linalg.norm(g_hat) ** 2)
     return BarycenterResult(
@@ -132,7 +140,7 @@ def _result_from_greens(problem, greens, iterations, converged, history) -> Bary
         frechet_variance=frechet_variance(problem, a_hat),
         iterations=iterations,
         converged=converged,
-        objective_history=tuple(history),
+        objective_history=(objective,) if history is None else tuple(history),
     )
 
 
@@ -184,9 +192,7 @@ def solve_bcd(
             g = g @ _haar_rotation(problem.n, rng)
         greens.append(g)
 
-    g_hat = np.zeros((problem.n, problem.n))
-    for w, g in zip(problem.weights, greens):
-        g_hat += w * g
+    g_hat = _mean_factor(problem, greens)
     objective = float(np.linalg.norm(g_hat) ** 2)
     history = [objective]
 
@@ -216,17 +222,21 @@ def ranges_orthogonal(covs) -> bool:
     return True
 
 
+def _ranges_meet(a: CovMatrix, b: CovMatrix) -> bool:
+    """Whether ||a b|| exceeds the orthogonality slack for the pair."""
+    bound = (
+        ORTHO_TOL_FACTOR
+        * max(a.tol_rel, b.tol_rel)
+        * np.linalg.norm(a.data)
+        * np.linalg.norm(b.data)
+    )
+    return np.linalg.norm(a.data @ b.data) > bound
+
+
 def _check_orthogonal(covs, label: str) -> None:
     for i in range(len(covs)):
         for j in range(i + 1, len(covs)):
-            a, b = covs[i], covs[j]
-            bound = (
-                ORTHO_TOL_FACTOR
-                * max(a.tol_rel, b.tol_rel)
-                * np.linalg.norm(a.data)
-                * np.linalg.norm(b.data)
-            )
-            if np.linalg.norm(a.data @ b.data) > bound:
+            if _ranges_meet(covs[i], covs[j]):
                 raise PreconditionFailed(
                     f"{label} {i} and {j} do not have orthogonal ranges"
                 )
@@ -249,14 +259,7 @@ def orthogonal_closed_form(problem: BarycenterProblem) -> BarycenterResult:
     """
     _check_orthogonal(problem.covs, "covariances")
     greens = [psd_function(c, "sqrt") for c in problem.covs]
-    return _result_from_greens(problem, greens, 0, True, _history_of(problem, greens))
-
-
-def _history_of(problem, greens):
-    g_hat = np.zeros((problem.n, problem.n))
-    for w, g in zip(problem.weights, greens):
-        g_hat += w * g
-    return (float(np.linalg.norm(g_hat) ** 2),)
+    return _result_from_greens(problem, greens, 0, True)
 
 
 def hierarchical_closed_form(
@@ -300,13 +303,7 @@ def hierarchical_closed_form(
         for gj in range(gi + 1, len(groups)):
             for a in groups[gi].covs:
                 for b in groups[gj].covs:
-                    bound = (
-                        ORTHO_TOL_FACTOR
-                        * max(a.tol_rel, b.tol_rel)
-                        * np.linalg.norm(a.data)
-                        * np.linalg.norm(b.data)
-                    )
-                    if np.linalg.norm(a.data @ b.data) > bound:
+                    if _ranges_meet(a, b):
                         raise PreconditionFailed(
                             f"groups {gi} and {gj} contain covariances with "
                             "non-orthogonal ranges"
@@ -330,7 +327,6 @@ def hierarchical_closed_form(
         flat_greens,
         iterations=sum(r.iterations for r in sub),
         converged=all(r.converged for r in sub),
-        history=_history_of(flat, flat_greens),
     )
     predicted = sum(q * q * r.objective for q, r in zip(outer, sub))
     if abs(result.objective - predicted) > 1e-8 * (1.0 + result.objective):

@@ -17,7 +17,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +32,14 @@ from .errors import (
     PreconditionFailed,
     Unreachable,
 )
-from .linalg import DEFAULT_TOL_REL, CovMatrix, numeric_rank, spectral_decompose, trace_fidelity
+from .linalg import (
+    DEFAULT_TOL_REL,
+    CovMatrix,
+    _tol_bound,
+    numeric_rank,
+    spectral_decompose,
+    trace_fidelity,
+)
 from .transport import (
     DEFAULT_TOL_MAP,
     _w2_from_fidelity,
@@ -49,17 +55,6 @@ EXIT_INPUT = 2
 EXIT_UNREACHABLE = 3
 EXIT_NO_SPD_MAP = 4
 EXIT_INCONSISTENT = 5
-
-
-@dataclass
-class RunConfig:
-    """Resolved run options shared by the subcommands."""
-
-    tol_rel: float
-    tol_map: float
-    seed: int | None = None
-    t_samples: list = field(default_factory=list)
-    output_path: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -188,29 +183,23 @@ def _emit(args, report: dict) -> None:
 # subcommands
 
 
-def _config(args) -> RunConfig:
+def _tol_rel(args) -> float:
+    """--tol-rel, else BWT_TOL_REL, else the default; both tolerances must be
+    finite and positive."""
     if args.tol_rel is not None:
         tol_rel = args.tol_rel
     else:
         env = os.environ.get("BWT_TOL_REL")
         tol_rel = float(env) if env else DEFAULT_TOL_REL
-    if tol_rel <= 0.0 or args.tol_map <= 0.0:
-        raise InvalidParam("tolerances must be positive")
-    return RunConfig(
-        tol_rel=tol_rel,
-        tol_map=args.tol_map,
-        seed=getattr(args, "seed", None),
-        t_samples=list(getattr(args, "t", []) or []),
-        output_path=getattr(args, "out", None),
-    )
+    if not (0.0 < tol_rel < np.inf and 0.0 < args.tol_map < np.inf):
+        raise InvalidParam("tolerances must be finite and positive")
+    return tol_rel
 
 
 def cmd_distance(args) -> int:
-    cfg = _config(args)
-    a = _load_cov(args.a, cfg.tol_rel)
-    b = _load_cov(args.b, cfg.tol_rel)
-    if a.n != b.n:
-        raise InvalidInput(f"dimension mismatch: {a.n} vs {b.n}")
+    tol_rel = _tol_rel(args)
+    a = _load_cov(args.a, tol_rel)
+    b = _load_cov(args.b, tol_rel)
     fidelity = trace_fidelity(a, b)
     d = _w2_from_fidelity(a, b, fidelity)
     report = {
@@ -232,10 +221,10 @@ def cmd_distance(args) -> int:
 
 
 def cmd_map(args) -> int:
-    cfg = _config(args)
-    a = _load_cov(args.a, cfg.tol_rel)
-    b = _load_cov(args.b, cfg.tol_rel)
-    spd = spd_reachability(a, b, tol_map=cfg.tol_map)
+    tol_rel = _tol_rel(args)
+    a = _load_cov(args.a, tol_rel)
+    b = _load_cov(args.b, tol_rel)
+    spd = spd_reachability(a, b, tol_map=args.tol_map)
     spd_dict = {
         "spd_exists": spd.spd_exists,
         "as_unique": spd.as_unique,
@@ -263,12 +252,12 @@ def cmd_map(args) -> int:
             # the witness is this map; without one, canonical_spd_map says why
             tmap = spd.witness
             if tmap is None:
-                tmap = canonical_spd_map(a, b, tol_map=cfg.tol_map)
+                tmap = canonical_spd_map(a, b, tol_map=args.tol_map)
             report["u12_policy"] = "deterministic"
         else:
             policy = {"det": "deterministic", "neg": "negated"}[args.u12]
             free = {"sym0": "symmetric_zero", "spd": "spd_canonical"}[args.free]
-            tmap = ot_map(a, b, u12_policy=policy, free_policy=free, tol_map=cfg.tol_map)
+            tmap = ot_map(a, b, u12_policy=policy, free_policy=free, tol_map=args.tol_map)
             report["u12_policy"] = policy
         write_matrix(args.out, tmap.t)
         report["map_file"] = args.out
@@ -291,10 +280,10 @@ def _t_tag(t: float) -> str:
 
 
 def cmd_geodesic(args) -> int:
-    cfg = _config(args)
-    a = _load_cov(args.a, cfg.tol_rel)
-    b = _load_cov(args.b, cfg.tol_rel)
-    for t in cfg.t_samples:
+    tol_rel = _tol_rel(args)
+    a = _load_cov(args.a, tol_rel)
+    b = _load_cov(args.b, tol_rel)
+    for t in args.t:
         if not 0.0 <= t <= 1.0:
             raise InvalidParam(f"t samples must lie in [0, 1], got {t}")
     path = geo.make_path(a, b, style=args.style, s=args.s)
@@ -303,7 +292,7 @@ def cmd_geodesic(args) -> int:
     samples = []
     print(f"style: {args.style}  kind: {path.param.kind}  w2(a,b): {_fmt_float(d)}")
     print("t        rank  w2_from_a            w2_to_b              kind")
-    for t in cfg.t_samples:
+    for t in args.t:
         gamma = path.gamma(t)
         cls, d1, d2 = geo._classify(a, b, gamma, t, d)
         fname = f"{args.out_prefix}_t{_t_tag(t)}.json"
@@ -348,7 +337,6 @@ def _orthogonal_family_check(problem, a_hat: CovMatrix):
     decs = [spectral_decompose(c) for c in problem.covs]
     comp_res = 0.0
     s_max = 0.0
-    scale = 1.0 + float(np.linalg.norm(a_hat.data))
     for i, (dec, w, c) in enumerate(zip(decs, problem.weights, problem.covs)):
         qi = dec.eigvecs[:, : dec.rank]
         if qi.shape[1] == 0:
@@ -365,20 +353,20 @@ def _orthogonal_family_check(problem, a_hat: CovMatrix):
                 continue
             cross = float(np.linalg.svd(qi.T @ a_hat.data @ qj, compute_uv=False)[0])
             s_max = max(s_max, cross / (problem.weights[i] * problem.weights[j] * lam))
-    member = comp_res <= 1e-8 * scale and s_max <= 1.0 + 1e-9
+    member = comp_res <= _tol_bound(1e-8, a_hat.data) and s_max <= 1.0 + 1e-9
     return {"member": member, "s_max": s_max, "compression_residual": comp_res}
 
 
 def cmd_barycenter(args) -> int:
-    cfg = _config(args)
-    covs = tuple(_load_cov(p, cfg.tol_rel) for p in args.matrices)
+    tol_rel = _tol_rel(args)
+    covs = tuple(_load_cov(p, tol_rel) for p in args.matrices)
     if args.weights is not None:
         weights = tuple(float(w) for w in args.weights.split(","))
     else:
         weights = tuple(1.0 / len(covs) for _ in covs)
     problem = bary.BarycenterProblem(covs, weights)
 
-    result = bary.solve_bcd(problem, max_iter=args.max_iter, seed=cfg.seed)
+    result = bary.solve_bcd(problem, max_iter=args.max_iter, seed=args.seed)
     fp_res = bary.fixed_point_residual(problem, result.a_hat)
     per_sweep = list(result.objective_history[:: problem.size])
     write_matrix(args.out, result.a_hat.data)
@@ -416,7 +404,7 @@ def cmd_barycenter(args) -> int:
 
 
 def cmd_gp(args) -> int:
-    _config(args)
+    _tol_rel(args)
     sizes = args.num_points or [500]
     rows = []
     print("n  m  points  analytic             numeric              |gap|                cross_gram")

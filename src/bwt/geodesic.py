@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, InvalidParam, Unreachable
-from .linalg import CovMatrix, _psd_apply, _sym, numeric_rank
+from .linalg import CovMatrix, _psd_apply, _sym, _tol_bound, numeric_rank
 from .schur import schur_complement
 from .transport import DEFAULT_TOL_MAP, TransportMap, _core, _Core, is_reachable, w2_distance
 
@@ -131,10 +131,7 @@ def raw_param(a: CovMatrix, b: CovMatrix, n12: np.ndarray,
     if n12.shape != (core.r, core.n2):
         raise InvalidParam(f"n12 must have shape ({core.r}, {core.n2}), got {n12.shape}")
 
-    k = core.k
-    scale = max(float(np.linalg.norm(k)), 1.0) * max(float(np.linalg.norm(n12)), 1.0)
-    if np.linalg.norm(k @ n12) > tol_map * scale:
-        raise InvalidParam("n12 range is not inside null(b11^(1/2) g11)")
+    core.check_in_null(n12, "n12", tol_map)
 
     diff = _sym(core.schur - n12.T @ n12)
     if core.n2:
@@ -148,8 +145,7 @@ def raw_param(a: CovMatrix, b: CovMatrix, n12: np.ndarray,
 
 
 def _is_zero(m22: np.ndarray, b: CovMatrix) -> bool:
-    b_scale = float(np.linalg.norm(b.data))
-    return float(np.linalg.norm(m22)) <= DEFAULT_TOL_MAP * (1.0 + b_scale)
+    return float(np.linalg.norm(m22)) <= _tol_bound(DEFAULT_TOL_MAP, b.data)
 
 
 def green_pair(a: CovMatrix, b: CovMatrix, param: GeodesicParam):
@@ -168,17 +164,8 @@ def _green_pair(core: _Core, param: GeodesicParam):
     if n12.shape != (core.r, core.n2) or m22.shape != (core.n2, core.n2):
         raise InvalidParam("parameter block shapes do not match the pair")
 
-    r, n = core.r, core.n
-    g_blk = np.zeros((n, n))
-    g_blk[:r, :r] = core.g11
-
-    m_blk = np.zeros((n, n))
-    m_blk[:r, :r] = core.ig11 @ core.x_sqrt
-    m_blk[r:, :r] = core.w21 + n12.T
-    m_blk[r:, r:] = m22
-
-    q = np.hstack([core.bv.q1, core.bv.q2])
-    return q @ g_blk @ q.T, q @ m_blk @ q.T
+    g = core.assemble(core.g11, 0.0, 0.0, 0.0)
+    return g, core.assemble(core.ig11 @ core.x_sqrt, 0.0, core.w21 + n12.T, m22)
 
 
 def make_path(a: CovMatrix, b: CovMatrix, style: str = "extreme",
@@ -249,8 +236,7 @@ def _classify(a: CovMatrix, b: CovMatrix, gamma: CovMatrix, t: float,
 
     sc = schur_complement(a, gamma)
     norm_sc = float(np.linalg.norm(sc.value))
-    g_scale = float(np.linalg.norm(gamma.data))
-    kind = "extreme" if norm_sc <= DEFAULT_TOL_MAP * (1.0 + g_scale) else "interior"
+    kind = "extreme" if norm_sc <= _tol_bound(DEFAULT_TOL_MAP, gamma.data) else "interior"
     return PointClass(kind, rank_g, rank_a, norm_sc), d1, d2
 
 

@@ -64,6 +64,48 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
+def _from_spectrum(u: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """The symmetric matrix with eigenvectors ``u`` (columns) and eigenvalues ``fw``."""
+    return _sym((u * fw) @ u.T)
+
+
+def _live(w: np.ndarray, cut: float) -> np.ndarray:
+    """The entries of ``w`` above ``cut``, for every rank decision.  With
+    ``tol`` positive a cut ``tol * scale`` is zero at zero scale, where nothing
+    is above it, or when it underflows, where every positive entry stays (an
+    empty mask would drop whole spectra at pair scales below 1e-158)."""
+    return w > cut
+
+
+def _rank(w: np.ndarray, cut: float) -> int:
+    """How many entries of ``w`` are live at ``cut`` (see :func:`_live`)."""
+    return int(np.count_nonzero(_live(w, cut)))
+
+
+def _fix_signs(u: np.ndarray) -> np.ndarray:
+    """``u`` with each column negated where needed so that its first entry
+    of largest absolute value is positive."""
+    top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return np.where(top < 0.0, -u, u)
+
+
+def _null_basis(k: np.ndarray, cut: float) -> np.ndarray:
+    """Orthonormal columns spanning null(k): the right singular vectors of
+    ``k`` past its rank at ``cut``."""
+    _, sdiag, vt = np.linalg.svd(k)
+    return vt[_rank(sdiag, cut) :].T
+
+
+def _tol_bound(tol: float, m: np.ndarray) -> float:
+    """``tol * (1 + ||m||_F)``: relative to the scale of ``m``, absolute near zero."""
+    return tol * (1.0 + float(np.linalg.norm(m)))
+
+
+def _check_pair(a: CovMatrix, b: CovMatrix) -> None:
+    if a.n != b.n:
+        raise InvalidInput(f"dimension mismatch: {a.n} vs {b.n}")
+
+
 @dataclass(frozen=True, eq=False)
 class CovMatrix:
     """A symmetric PSD matrix, validated at construction.
@@ -77,14 +119,17 @@ class CovMatrix:
     Raises
     ------
     InvalidInput
-        If the array is not square, not finite, asymmetric beyond tolerance,
-        or has a significantly negative eigenvalue.
+        If ``tol_rel`` is not finite and positive, or if the array is not
+        square, not finite, asymmetric beyond tolerance, or has a
+        significantly negative eigenvalue.
     """
 
     data: np.ndarray
     tol_rel: float = DEFAULT_TOL_REL
 
     def __post_init__(self):
+        if not 0.0 < self.tol_rel < np.inf:
+            raise InvalidInput(f"tol_rel must be finite and positive, got {self.tol_rel!r}")
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2 or data.shape[0] != data.shape[1] or data.shape[0] == 0:
             raise InvalidInput(f"expected a square matrix, got shape {data.shape}")
@@ -109,7 +154,7 @@ class CovMatrix:
             # negatives within tolerance: clamp to zero and rebuild; the
             # eigenvalues of the rebuilt matrix are computed when first needed
             w_full, u = np.linalg.eigh(data)
-            data = _sym((u * np.clip(w_full, 0.0, None)) @ u.T)
+            data = _from_spectrum(u, np.clip(w_full, 0.0, None))
             w = None
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -194,14 +239,8 @@ def spectral_decompose(a: CovMatrix) -> SpectralDecomp:
     """
     w, u = _eigh(a)
     w = w[::-1].copy()
-    u = u[:, ::-1].copy()
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0.0:
-            u[:, j] = -u[:, j]
-    lam_max = max(w[0], 0.0)
-    rank = int(np.count_nonzero(w > a.tol_rel * lam_max)) if lam_max > 0.0 else 0
-    return SpectralDecomp(eigvals=w, eigvecs=u, rank=rank)
+    rank = _rank(w, a.tol_rel * max(w[0], 0.0))
+    return SpectralDecomp(eigvals=w, eigvecs=_fix_signs(u[:, ::-1]), rank=rank)
 
 
 def _psd_apply(mat: np.ndarray, f: str, tol_rel: float) -> np.ndarray:
@@ -219,8 +258,7 @@ def _psd_functions(mat: np.ndarray, fs, tol_rel: float) -> list:
 
 def _psd_from_eigh(w: np.ndarray, u: np.ndarray, f: str, tol_rel: float) -> np.ndarray:
     """A spectral function of the matrix with ascending eigenpairs (w, u)."""
-    cut = tol_rel * max(w[-1], 0.0)
-    live = w > cut
+    live = _live(w, tol_rel * max(w[-1], 0.0))
     fw = np.zeros_like(w)
     if f == "sqrt":
         fw[live] = np.sqrt(w[live])
@@ -230,7 +268,7 @@ def _psd_from_eigh(w: np.ndarray, u: np.ndarray, f: str, tol_rel: float) -> np.n
         fw[live] = 1.0 / np.sqrt(w[live])
     else:
         raise InvalidInput(f"unknown matrix function {f!r}")
-    return _sym((u * fw) @ u.T)
+    return _from_spectrum(u, fw)
 
 
 def psd_function(a: CovMatrix, f: str) -> np.ndarray:
@@ -249,11 +287,7 @@ def psd_function(a: CovMatrix, f: str) -> np.ndarray:
 
 def numeric_rank(a: CovMatrix) -> int:
     """Number of eigenvalues above ``tol_rel * lambda_max``."""
-    w = a._ascending_eigvals()
-    lam_max = max(w[-1], 0.0)
-    if lam_max == 0.0:
-        return 0
-    return int(np.count_nonzero(w > a.tol_rel * lam_max))
+    return _rank(a._ascending_eigvals(), a.tol_rel * a.lam_max)
 
 
 def green_factor(a: CovMatrix, method: str = "spectral") -> GreenFactor:
@@ -317,8 +351,7 @@ def trace_fidelity(a: CovMatrix, b: CovMatrix) -> float:
     The two arguments are evaluated in a canonical order so the symmetry holds
     exactly in floating point.
     """
-    if a.n != b.n:
-        raise InvalidInput(f"dimension mismatch: {a.n} vs {b.n}")
+    _check_pair(a, b)
     if a.data.tobytes() > b.data.tobytes():
         a, b = b, a
     return _memoized("fidelity", (a, b), lambda: _fidelity(a, b))
@@ -330,6 +363,5 @@ def _fidelity(a: CovMatrix, b: CovMatrix) -> float:
     # Eigenvalues of g.T b g below the pair's noise floor are dropped before
     # the square root: sqrt amplifies an O(eps)-sized eigenvalue to O(
     # sqrt(eps)), which would otherwise dominate the error in the sum.
-    cut = max(a.tol_rel, b.tol_rel) * a.lam_max * b.lam_max
-    w = np.where(w > cut, w, 0.0)
+    w = np.where(_live(w, max(a.tol_rel, b.tol_rel) * a.lam_max * b.lam_max), w, 0.0)
     return float(np.sqrt(w).sum())

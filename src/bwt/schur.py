@@ -23,9 +23,13 @@ from .errors import InvalidInput, NumericalInconsistency
 from .linalg import (
     CovMatrix,
     GreenFactor,
+    _check_pair,
     _memoized,
+    _null_basis,
     _psd_apply,
+    _rank,
     _sym,
+    _tol_bound,
     green_factor,
     numeric_rank,
     psd_function,
@@ -111,8 +115,7 @@ def schur_complement(a: CovMatrix, b: CovMatrix) -> SchurResult:
         If the defining-formula route and the projection route disagree by
         more than ``PATH_TOL * (1 + ||b||)``.
     """
-    if b.n != a.n:
-        raise InvalidInput(f"dimension mismatch: {a.n} vs {b.n}")
+    _check_pair(a, b)
     res = _memoized("schur", (a, b), lambda: _schur_complement(a, b))
     return SchurResult(value=res.value.copy(), rank=res.rank, path_residual=res.path_residual)
 
@@ -130,16 +133,12 @@ def _schur_complement(a: CovMatrix, b: CovMatrix) -> SchurResult:
     # route 2: project b^(1/2) onto null(g^T b^(1/2)) and restrict to null(a)
     b_root = psd_function(b, "sqrt")
     g = green_factor(a).g
-    k = g.T @ b_root
-    _, sdiag, vt = np.linalg.svd(k)
-    keep = sdiag > tol * np.sqrt(lam_a * lam_b)
-    v_null = vt[int(np.count_nonzero(keep)) :].T
+    v_null = _null_basis(g.T @ b_root, tol * np.sqrt(lam_a * lam_b))
     proj = b_root @ (v_null @ v_null.T) @ b_root
     val2 = _sym(bv.q2.T @ proj @ bv.q2)
 
     residual = float(np.abs(val1 - val2).max()) if val1.size else 0.0
-    b_scale = float(np.linalg.norm(b.data))
-    if residual > PATH_TOL * (1.0 + b_scale):
+    if residual > _tol_bound(PATH_TOL, b.data):
         raise NumericalInconsistency(
             f"Schur routes disagree: gap {residual:.3e} "
             f"exceeds {PATH_TOL:.1e} * (1 + ||b||)"
@@ -150,7 +149,7 @@ def _schur_complement(a: CovMatrix, b: CovMatrix) -> SchurResult:
         ev = np.linalg.eigvalsh(val1)
         # The cut is anchored to b's top eigenvalue, not the complement's own:
         # a complement made of pure roundoff must come out rank 0.
-        rank = int(np.count_nonzero(ev > tol * lam_b)) if lam_b > 0.0 else 0
+        rank = _rank(ev, tol * lam_b)
     else:
         rank = 0
     return SchurResult(value=_sym(value), rank=rank, path_residual=residual)
@@ -170,6 +169,4 @@ def schur_rank_identity(a: CovMatrix, b: CovMatrix, g: GreenFactor | None = None
     tol = max(a.tol_rel, b.tol_rel)
     # g.T b g lives on the scale lam_max(a) * lam_max(b); anchor the cut there
     # so an all-noise compression (range(b) inside null(a)) counts as rank 0.
-    scale = a.lam_max * b.lam_max
-    inner_rank = int(np.count_nonzero(w > tol * scale)) if scale > 0.0 else 0
-    return lhs, numeric_rank(b) - inner_rank
+    return lhs, numeric_rank(b) - _rank(w, tol * (a.lam_max * b.lam_max))

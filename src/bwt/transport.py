@@ -27,10 +27,17 @@ from .errors import (
 from .linalg import (
     CovMatrix,
     GreenFactor,
+    _check_pair,
+    _fix_signs,
+    _from_spectrum,
+    _live,
     _memoized,
+    _null_basis,
     _psd_apply,
     _psd_functions,
+    _rank,
     _sym,
+    _tol_bound,
     numeric_rank,
     psd_function,
     spectral_decompose,
@@ -98,8 +105,7 @@ class SpdReachReport:
 
 def _core(a: CovMatrix, b: CovMatrix) -> "_Core":
     """The pair context of (a, b), built once and shared while both live."""
-    if a.n != b.n:
-        raise InvalidInput(f"dimension mismatch: {a.n} vs {b.n}")
+    _check_pair(a, b)
     return _memoized("core", (a, b), lambda: _Core(a, b))
 
 
@@ -129,14 +135,10 @@ class _Core:
         self.lam_b = b.lam_max
 
         x = _sym(self.g11 @ self.bv.b11 @ self.g11)
-        w, u = np.linalg.eigh(x)
-        cut = self.tol * self.lam_a * self.lam_b
-        self._x_eigvals = w
-        self._x_eigvecs = u
-        self._x_live = w > cut if cut > 0.0 else np.zeros_like(w, dtype=bool)
+        self._x_eigvals, self._x_eigvecs = np.linalg.eigh(x)
+        self._x_live = _live(self._x_eigvals, self.tol * self.lam_a * self.lam_b)
         self.x_sqrt = self._x_pow(0.5)
         self.x_pinv_sqrt = self._x_pow(-0.5)
-        self.fidelity = float(np.sqrt(w[self._x_live]).sum()) if w.size else 0.0
 
         # b21 g11 x^(-1/2): the determined part of the lower-left block
         self.w21 = self.bv.b21 @ self.g11 @ self.x_pinv_sqrt
@@ -145,20 +147,29 @@ class _Core:
             sw, su = np.linalg.eigh(self.schur)
         else:
             sw, su = np.zeros(0), np.zeros((0, 0))
-        s_cut = self.tol * self.lam_b
         self._schur_eigvals = sw
         self._schur_eigvecs = su
-        self._schur_live = sw > s_cut if s_cut > 0.0 else np.zeros_like(sw, dtype=bool)
-        self.schur_rank = int(np.count_nonzero(self._schur_live))
+        self._schur_live = _live(sw, self.tol * self.lam_b)
+        self.schur_rank = _rank(sw, self.tol * self.lam_b)
         fw = np.zeros_like(sw)
         fw[self._schur_live] = np.sqrt(sw[self._schur_live])
-        self.schur_sqrt = _sym((su * fw) @ su.T) if self.n2 else np.zeros((0, 0))
+        self.schur_sqrt = _from_spectrum(su, fw)
 
     def _x_pow(self, p: float) -> np.ndarray:
-        w, u, live = self._x_eigvals, self._x_eigvecs, self._x_live
+        w, live = self._x_eigvals, self._x_live
         fw = np.zeros_like(w)
         fw[live] = w[live] ** p
-        return _sym((u * fw) @ u.T)
+        return _from_spectrum(self._x_eigvecs, fw)
+
+    def t11(self) -> np.ndarray:
+        """g11^(-1) x^(1/2) g11^(-1): the range block of every optimal map."""
+        return _sym(self.ig11 @ self.x_sqrt @ self.ig11)
+
+    def spd_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks t12 and t22 of the canonical symmetric PSD map."""
+        t12 = self.ig11 @ self.x_pinv_sqrt @ self.g11 @ self.bv.b12
+        t22 = self.bv.b21 @ self.g11 @ self._x_pow(-1.5) @ self.g11 @ self.bv.b12
+        return t12, t22
 
     def assemble(self, t11, t12, t21, t22) -> np.ndarray:
         blk = np.zeros((self.n, self.n))
@@ -174,6 +185,12 @@ class _Core:
         """b11^(1/2) g11, whose null space must hold the range of u12 / n12."""
         return _psd_apply(self.bv.b11, "sqrt", self.tol) @ self.g11
 
+    def check_in_null(self, m: np.ndarray, name: str, tol_map: float) -> None:
+        """Raise InvalidParam unless the range of ``m`` lies in null(k)."""
+        scale = max(float(np.linalg.norm(self.k)), 1.0) * max(float(np.linalg.norm(m)), 1.0)
+        if np.linalg.norm(self.k @ m) > tol_map * scale:
+            raise InvalidParam(f"{name} range is not inside null(b11^(1/2) g11)")
+
     def deterministic_u12(self) -> np.ndarray:
         """The canonical partial isometry null(a)-coords -> range(a)-coords.
 
@@ -188,16 +205,8 @@ class _Core:
         u12 = np.zeros((self.r, self.n2))
         if self.schur_rank == 0:
             return u12
-        order = np.argsort(self._schur_eigvals)[::-1]
-        su = self._schur_eigvecs[:, order].copy()
-        for j in range(self.schur_rank):
-            i = int(np.argmax(np.abs(su[:, j])))
-            if su[i, j] < 0.0:
-                su[:, j] = -su[:, j]
-
-        _, sdiag, vt = np.linalg.svd(self.k)
-        keep = sdiag > self.tol * np.sqrt(self.lam_a * self.lam_b)
-        v_null = vt[int(np.count_nonzero(keep)) :].T
+        su = _fix_signs(self._schur_eigvecs[:, np.argsort(self._schur_eigvals)[::-1]])
+        v_null = _null_basis(self.k, self.tol * np.sqrt(self.lam_a * self.lam_b))
         if v_null.shape[1] < self.schur_rank:
             raise NumericalInconsistency(
                 "null space of b11^(1/2) g11 is too small to absorb the "
@@ -219,8 +228,7 @@ def _w2_from_fidelity(a: CovMatrix, b: CovMatrix, fidelity: float) -> float:
 def is_reachable(a: CovMatrix, b: CovMatrix) -> bool:
     """Whether an optimal transport map from N(0, a) to N(0, b) exists,
     i.e. rank(a) >= rank(b)."""
-    if a.n != b.n:
-        raise InvalidInput(f"dimension mismatch: {a.n} vs {b.n}")
+    _check_pair(a, b)
     return numeric_rank(a) >= numeric_rank(b)
 
 
@@ -228,10 +236,9 @@ def _checked_map(a: CovMatrix, b: CovMatrix, t, t11, t21, u12, tag: str,
                  tol_map: float) -> TransportMap:
     """Wrap a map with its transport and optimality residuals; a transport
     residual above ``tol_map * (1 + ||b||)`` raises NumericalInconsistency."""
-    b_scale = float(np.linalg.norm(b.data))
     res_t = float(np.linalg.norm(t @ a.data @ t.T - b.data))
     res_o = abs(float(np.trace(a.data @ t)) - trace_fidelity(a, b))
-    if res_t > tol_map * (1.0 + b_scale):
+    if res_t > _tol_bound(tol_map, b.data):
         raise NumericalInconsistency(
             f"transport residual {res_t:.3e} exceeds {tol_map:.1e} * (1 + ||b||)"
         )
@@ -251,8 +258,7 @@ def pusz_woronowicz(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MAP
 
     Requires a positive definite; use :func:`ot_map` for the singular case.
     """
-    if a.n != b.n:
-        raise InvalidInput(f"dimension mismatch: {a.n} vs {b.n}")
+    _check_pair(a, b)
     if numeric_rank(a) < a.n:
         raise NotInvertible("source covariance is singular; no inverse square root")
     root = psd_function(a, "sqrt")
@@ -303,8 +309,7 @@ def _check_reachable(a: CovMatrix, b: CovMatrix) -> None:
 
 
 def _check_spd(core: _Core, b: CovMatrix, tol_map: float) -> None:
-    b_scale = float(np.linalg.norm(b.data))
-    if np.linalg.norm(core.schur) > tol_map * (1.0 + b_scale):
+    if np.linalg.norm(core.schur) > _tol_bound(tol_map, b.data):
         raise NoSpdMap(
             "the Schur complement of the pair is nonzero; "
             "no symmetric PSD transport map exists"
@@ -330,7 +335,7 @@ def _ot_map(core: _Core, a: CovMatrix, b: CovMatrix, u12_policy: str, u12,
     else:
         raise InvalidParam(f"unknown u12 policy {u12_policy!r}")
 
-    t11 = _sym(core.ig11 @ core.x_sqrt @ core.ig11)
+    t11 = core.t11()
     t21 = (core.w21 + core.schur_sqrt @ u12_blk.T) @ core.ig11
 
     if free_policy == "symmetric_zero":
@@ -338,8 +343,7 @@ def _ot_map(core: _Core, a: CovMatrix, b: CovMatrix, u12_policy: str, u12,
         t22 = np.zeros((n2, n2))
     elif free_policy == "spd_canonical":
         _check_spd(core, b, tol_map)
-        t12 = core.ig11 @ core.x_pinv_sqrt @ core.g11 @ core.bv.b12
-        t22 = core.bv.b21 @ core.g11 @ core._x_pow(-1.5) @ core.g11 @ core.bv.b12
+        t12, t22 = core.spd_blocks()
     else:
         raise InvalidParam(f"unknown free-block policy {free_policy!r}")
 
@@ -350,13 +354,10 @@ def _ot_map(core: _Core, a: CovMatrix, b: CovMatrix, u12_policy: str, u12,
 def _validate_isometry(core: _Core, u12_blk: np.ndarray, tol_map: float) -> None:
     """Check a supplied u12: range inside null(b11^(1/2) g11), and u12.T u12
     equal to the projector onto range of the Schur complement."""
-    k = core.k
-    scale = max(float(np.linalg.norm(k)), 1.0) * max(float(np.linalg.norm(u12_blk)), 1.0)
-    if np.linalg.norm(k @ u12_blk) > tol_map * scale:
-        raise InvalidParam("u12 range is not inside null(b11^(1/2) g11)")
-    su, live = core._schur_eigvecs, core._schur_live
-    proj = (su[:, live]) @ (su[:, live]).T
-    if np.linalg.norm(u12_blk.T @ u12_blk - proj) > tol_map * (1.0 + float(np.linalg.norm(proj))):
+    core.check_in_null(u12_blk, "u12", tol_map)
+    su = core._schur_eigvecs[:, core._schur_live]
+    proj = su @ su.T
+    if np.linalg.norm(u12_blk.T @ u12_blk - proj) > _tol_bound(tol_map, proj):
         raise InvalidParam(
             "u12.T u12 is not the projector onto the range of the Schur complement"
         )
@@ -403,14 +404,11 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     built on the context of criterion 1.
     """
     core = _core(a, b)
-    b_scale = float(np.linalg.norm(b.data))
-    tol_abs = tol_map * (1.0 + b_scale)
+    tol_abs = _tol_bound(tol_map, b.data)
 
     # 1. construct the canonical candidate unconditionally and test it
-    t11 = _sym(core.ig11 @ core.x_sqrt @ core.ig11)
-    t12 = core.ig11 @ core.x_pinv_sqrt @ core.g11 @ core.bv.b12
-    t22 = core.bv.b21 @ core.g11 @ core._x_pow(-1.5) @ core.g11 @ core.bv.b12
-    cand = core.assemble(t11, t12, t12.T, t22)
+    t12, t22 = core.spd_blocks()
+    cand = core.assemble(core.t11(), t12, t12.T, t22)
     res_t = float(np.linalg.norm(cand @ a.data @ cand.T - b.data))
     eig_min = float(np.linalg.eigvalsh(_sym(cand))[0])
     cand_scale = max(float(np.abs(cand).max()), 1.0)
@@ -425,20 +423,17 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     # 4. rank(b) == rank(b a), both via singular values; the product's cut is
     # anchored at lam_max(a) lam_max(b) so an all-noise product has rank 0
     sv = np.linalg.svd(b.data @ a.data, compute_uv=False)
-    ba_cut = core.tol * core.lam_a * core.lam_b
-    ba_rank = int(np.count_nonzero(sv > ba_cut)) if ba_cut > 0.0 else 0
-    range_eq = numeric_rank(b) == ba_rank
+    range_eq = numeric_rank(b) == _rank(sv, core.tol * core.lam_a * core.lam_b)
 
     # 5. principal angles between range(b) and null(a)
     dec_b = spectral_decompose(b)
     qb = dec_b.eigvecs[:, : dec_b.rank]
     q2 = core.bv.q2
-    if qb.shape[1] == 0 or q2.shape[1] == 0:
-        overlap_dim = 0
-    else:
-        angles = np.linalg.svd(qb.T @ q2, compute_uv=False)
-        overlap_dim = int(np.count_nonzero(angles > 1.0 - INTERSECT_TOL))
-    trivial_intersection = overlap_dim == 0
+    trivial_intersection = (
+        qb.shape[1] == 0
+        or q2.shape[1] == 0
+        or _rank(np.linalg.svd(qb.T @ q2, compute_uv=False), 1.0 - INTERSECT_TOL) == 0
+    )
 
     flags = (spd_exists, as_unique, schur_zero, range_eq, trivial_intersection)
     if len(set(flags)) != 1:
@@ -508,10 +503,9 @@ def dual_conjugate(g: GreenFactor, m: GreenFactor, y, tol_map: float = DEFAULT_T
         raise InvalidParam("g.T m is not PSD; factors are not aligned")
 
     z = g_mat.T @ y
-    cut = tol_map * max(w[-1], 0.0)
-    live = w > cut
+    live = _live(w, tol_map * max(w[-1], 0.0))
     z_range = u[:, live] @ (u[:, live].T @ z)
-    if np.linalg.norm(z - z_range) > tol_map * (1.0 + np.linalg.norm(z)):
+    if np.linalg.norm(z - z_range) > _tol_bound(tol_map, z):
         return INFINITE
     half_inv = (u[:, live] / np.sqrt(w[live])) @ u[:, live].T
     return float(0.5 * np.dot(half_inv @ z, half_inv @ z))

@@ -245,8 +245,13 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     assert load_report(rep)["rank_a"] == 2
     monkeypatch.setenv("BWT_TOL_REL", "-1")
     assert main(["distance", a, b]) == 2
+    monkeypatch.setenv("BWT_TOL_REL", "nan")
+    assert main(["distance", a, b]) == 2
     monkeypatch.delenv("BWT_TOL_REL")
     assert main(["distance", a, b, "--tol-rel", "0"]) == 2
+    for bad in ("nan", "inf"):
+        assert main(["distance", a, b, "--tol-rel", bad]) == 2
+        assert main(["map", a, b, "--tol-map", bad, "--out", str(tmp_path / "t.json")]) == 2
     capsys.readouterr()
 
 

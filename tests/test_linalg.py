@@ -31,6 +31,12 @@ def test_cov_matrix_rejects_nonfinite_and_asymmetric():
         CovMatrix(np.array([[1.0, 0.5], [0.1, 1.0]]))
 
 
+@pytest.mark.parametrize("tol_rel", [0.0, -1.0, float("nan"), float("inf")])
+def test_cov_matrix_rejects_a_tolerance_that_is_not_finite_and_positive(tol_rel):
+    with pytest.raises(InvalidInput, match="tol_rel must be finite and positive"):
+        CovMatrix(np.diag([4.0, 1.0, 0.0]), tol_rel=tol_rel)
+
+
 def test_cov_matrix_rejects_indefinite():
     with pytest.raises(InvalidInput):
         CovMatrix(np.diag([1.0, -1.0]))
