@@ -171,18 +171,8 @@ def solve_bcd(
     if tol_obj is None:
         tol_obj = 1e-10 * scale
     if scale == 0.0:
-        zero = CovMatrix(np.zeros((problem.n, problem.n)))
-        greens = tuple(np.zeros((problem.n, problem.n)) for _ in problem.covs)
-        return BarycenterResult(
-            a_hat=zero,
-            greens=greens,
-            g_hat=np.zeros((problem.n, problem.n)),
-            objective=0.0,
-            frechet_variance=0.0,
-            iterations=0,
-            converged=True,
-            objective_history=(0.0,),
-        )
+        zeros = np.zeros((problem.n, problem.n))
+        return _result_from_greens(problem, [zeros] * problem.size, 0, True)
 
     rng = np.random.default_rng(seed) if seed is not None else None
     greens = []

@@ -5,12 +5,20 @@ an eigenvalue counts as nonzero when it exceeds ``tol_rel * lambda_max`` (for
 singular values, ``tol_rel * sigma_max``).  The tolerance travels with each
 :class:`CovMatrix`, so callers pick it once at construction time.
 
-Decompositions are shared rather than repeated.  A :class:`CovMatrix` keeps
-the eigenvalues its validation computed (for lambda_max and the numeric
-rank), and a small cache keyed by object identity (:func:`_memoized`) holds
-the last few eigendecompositions, pair contexts and pair results.  Every
-shared value is what a fresh computation on the same, immutable input would
-return, so results do not depend on what the cache holds.
+A :class:`CovMatrix` holds the symmetrized input as given: validation
+rejects eigenvalues below ``-tol_rel * lambda_max`` but clamps and rebuilds
+nothing, so wrapping ``c.data`` again gives the same bytes.  It keeps the
+eigenvalues its validation computed, and :func:`numeric_rank` counts them:
+that count is the only rank of a covariance, and :func:`spectral_decompose`,
+:func:`psd_function` and :func:`green_factor` keep that many eigenpairs of
+its ``eigh``.  Matrices derived from a covariance or a pair (blocks,
+compressions, Schur complements) decide their own ranks.
+
+Decompositions are shared rather than repeated.  A small cache keyed by
+object identity (:func:`_memoized`) holds the last few eigendecompositions,
+pair contexts and pair results.  Every shared value is what a fresh
+computation on the same, immutable input would return, so results do not
+depend on what the cache holds.
 """
 
 from __future__ import annotations
@@ -110,10 +118,11 @@ def _check_pair(a: CovMatrix, b: CovMatrix) -> None:
 class CovMatrix:
     """A symmetric PSD matrix, validated at construction.
 
-    Symmetry is enforced up to ``tol_rel * ||data||_F`` (then symmetrized);
-    eigenvalues down to ``-tol_rel * lambda_max`` are clamped to zero, anything
-    more negative is rejected.  ``data`` is the matrix's own read-only copy;
-    the eigenvalues computed to validate it are kept for :attr:`lam_max` and
+    Symmetry is enforced up to ``tol_rel * ||data||_F``; an eigenvalue below
+    ``-tol_rel * lambda_max`` is rejected.  ``data`` is the symmetrized input,
+    the matrix's own read-only copy: nothing is clamped or rebuilt, so
+    eigenvalues of roundoff size may be slightly negative.  The eigenvalues
+    computed to validate it are kept for :attr:`lam_max` and
     :func:`numeric_rank`.
 
     Raises
@@ -150,12 +159,6 @@ class CovMatrix:
                 f"matrix is not PSD: min eigenvalue {w[0]:.3e} "
                 f"(lambda_max = {lam_max:.3e}, tol_rel = {self.tol_rel:.1e})"
             )
-        if w[0] < 0.0:
-            # negatives within tolerance: clamp to zero and rebuild; the
-            # eigenvalues of the rebuilt matrix are computed when first needed
-            w_full, u = np.linalg.eigh(data)
-            data = _from_spectrum(u, np.clip(w_full, 0.0, None))
-            w = None
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "_eigvals", w)
@@ -164,16 +167,10 @@ class CovMatrix:
     def n(self) -> int:
         return self.data.shape[0]
 
-    def _ascending_eigvals(self) -> np.ndarray:
-        """The eigenvalues of ``data`` from ``eigvalsh``, ascending."""
-        if self._eigvals is None:
-            object.__setattr__(self, "_eigvals", np.linalg.eigvalsh(self.data))
-        return self._eigvals
-
     @property
     def lam_max(self) -> float:
         """The largest eigenvalue, floored at zero."""
-        return max(float(self._ascending_eigvals()[-1]), 0.0)
+        return max(float(self._eigvals[-1]), 0.0)
 
     def trace(self) -> float:
         return float(np.trace(self.data))
@@ -238,9 +235,8 @@ def spectral_decompose(a: CovMatrix) -> SpectralDecomp:
     basis down to a reproducible choice.
     """
     w, u = _eigh(a)
-    w = w[::-1].copy()
-    rank = _rank(w, a.tol_rel * max(w[0], 0.0))
-    return SpectralDecomp(eigvals=w, eigvecs=_fix_signs(u[:, ::-1]), rank=rank)
+    return SpectralDecomp(eigvals=w[::-1].copy(), eigvecs=_fix_signs(u[:, ::-1]),
+                          rank=numeric_rank(a))
 
 
 def _psd_apply(mat: np.ndarray, f: str, tol_rel: float) -> np.ndarray:
@@ -253,12 +249,14 @@ def _psd_functions(mat: np.ndarray, fs, tol_rel: float) -> list:
     if mat.shape[0] == 0:
         return [mat.copy() for _ in fs]
     w, u = np.linalg.eigh(_sym(mat))
-    return [_psd_from_eigh(w, u, f, tol_rel) for f in fs]
+    rank = _rank(w, tol_rel * max(w[-1], 0.0))
+    return [_psd_from_eigh(w, u, f, rank) for f in fs]
 
 
-def _psd_from_eigh(w: np.ndarray, u: np.ndarray, f: str, tol_rel: float) -> np.ndarray:
-    """A spectral function of the matrix with ascending eigenpairs (w, u)."""
-    live = _live(w, tol_rel * max(w[-1], 0.0))
+def _psd_from_eigh(w: np.ndarray, u: np.ndarray, f: str, rank: int) -> np.ndarray:
+    """A spectral function of the matrix with ascending eigenpairs (w, u),
+    applied to the top ``rank`` eigenvalues; the rest map to zero."""
+    live = slice(len(w) - rank, None)
     fw = np.zeros_like(w)
     if f == "sqrt":
         fw[live] = np.sqrt(w[live])
@@ -278,16 +276,18 @@ def psd_function(a: CovMatrix, f: str) -> np.ndarray:
     ----------
     a : CovMatrix
     f : {"sqrt", "pinv", "pinv_sqrt"}
-        Eigenvalues at or below ``tol_rel * lambda_max`` are treated as zero,
-        so ``pinv`` variants are Moore-Penrose on the numeric range.
+        Applied to the top :func:`numeric_rank` eigenpairs; the rest are
+        treated as zero, so ``pinv`` variants are Moore-Penrose on the
+        numeric range.
     """
     w, u = _eigh(a)
-    return _psd_from_eigh(w, u, f, a.tol_rel)
+    return _psd_from_eigh(w, u, f, numeric_rank(a))
 
 
 def numeric_rank(a: CovMatrix) -> int:
-    """Number of eigenvalues above ``tol_rel * lambda_max``."""
-    return _rank(a._ascending_eigvals(), a.tol_rel * a.lam_max)
+    """Number of eigenvalues above ``tol_rel * lambda_max``: the one rank of
+    a covariance, counted on the eigenvalues its validation computed."""
+    return _rank(a._eigvals, a.tol_rel * a.lam_max)
 
 
 def green_factor(a: CovMatrix, method: str = "spectral") -> GreenFactor:

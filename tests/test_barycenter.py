@@ -229,6 +229,12 @@ def test_all_zero_family_short_circuits():
     assert res.objective_history == (0.0,)
 
 
+def test_all_zero_family_carries_the_family_tolerance():
+    z = CovMatrix(np.zeros((3, 3)), tol_rel=1e-6)
+    res = solve_bcd(BarycenterProblem((z, z), (0.5, 0.5)))
+    assert res.a_hat.tol_rel == 1e-6
+
+
 def test_order_bounds_on_seeded_problems():
     rng = np.random.default_rng(46)
     for k in range(12):

@@ -11,8 +11,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bwt import schemas
-from bwt.cli import InvalidInput, dumps_canonical, main
+from bwt import CovMatrix, schemas
+from bwt.cli import InvalidInput, dumps_canonical, main, read_matrix, write_matrix
+from conftest import rand_psd
 
 A3 = [[4.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
 B3 = [[0.0, 0.0, 0.0], [0.0, 4.0, 2.0], [0.0, 2.0, 1.0]]
@@ -164,6 +165,26 @@ def test_geodesic_midpoint_exact_bytes(tmp_path, capsys):
     assert doc["samples"][1]["rank"] == 2
     half = doc["samples"][1]
     assert half["w2_from_a"] == pytest.approx(half["w2_to_b"], abs=1e-12)
+    capsys.readouterr()
+
+
+def test_geodesic_samples_round_trip(tmp_path, capsys):
+    # a sample read back is the matrix that was classified: its file
+    # rewrites to the same bytes and its distance from a is w2_from_a
+    rng = np.random.default_rng(4)
+    for k in range(10):
+        a = write_mat(tmp_path, f"a{k}.json", rand_psd(rng, 6, 4).data.tolist())
+        b = write_mat(tmp_path, f"b{k}.json", rand_psd(rng, 6, 2).data.tolist())
+        rep = str(tmp_path / f"geo{k}.json")
+        assert main(["geodesic", a, b, "--t", "0.25", "0.5", "0.75",
+                     "--out-prefix", str(tmp_path / f"g{k}"), "--json", rep]) == 0
+        for sample in load_report(rep)["samples"]:
+            again = str(tmp_path / "again.json")
+            write_matrix(again, CovMatrix(read_matrix(sample["file"])).data)
+            assert Path(again).read_bytes() == Path(sample["file"]).read_bytes()
+            dist = str(tmp_path / "dist.json")
+            assert main(["distance", a, sample["file"], "--json", dist]) == 0
+            assert load_report(dist)["w2"] == sample["w2_from_a"]
     capsys.readouterr()
 
 

@@ -93,8 +93,8 @@ def count_decomps(monkeypatch):
     for name in ("eigh", "eigvalsh", "svd"):
         orig = getattr(np.linalg, name)
 
-        def counted(*args, _orig=orig, **kwargs):
-            calls.append(1)
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls.append(_name)
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -104,6 +104,7 @@ def count_decomps(monkeypatch):
         fn(*args)
         return len(calls)
 
+    run.calls = calls  # the names of the last run's decompositions
     return run
 
 
@@ -112,6 +113,13 @@ def count_decomps(monkeypatch):
 def test_decomposition_count_bounds(count_decomps, pair, op):
     bound = BOUNDS[op][0 if pair == "readme" else 1]
     assert count_decomps(OPS[op], *_fresh(pair)) <= bound
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_construction_makes_one_eigvalsh(count_decomps, pair):
+    for x in PAIRS[pair]():
+        assert count_decomps(CovMatrix, x) == 1
+        assert count_decomps.calls == ["eigvalsh"]
 
 
 def _blob(x) -> bytes:

@@ -5,8 +5,10 @@ from bwt import (
     CovMatrix,
     GreenFactor,
     InvalidInput,
+    Unreachable,
     align_green,
     green_factor,
+    make_path,
     numeric_rank,
     psd_function,
     spectral_decompose,
@@ -50,6 +52,41 @@ def test_cov_matrix_symmetrizes_and_clamps_small_noise():
     assert np.linalg.eigvalsh(c.data)[0] >= -1e-16
     assert c.trace() == pytest.approx(3.0, abs=1e-12)
     assert c.n == 3
+
+
+def test_construction_is_idempotent():
+    # data is the symmetrized input, so wrapping it again changes no byte
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        c = rand_psd(rng, 6, 3)
+        assert CovMatrix(c.data).data.tobytes() == c.data.tobytes()
+
+
+def _near_cut(rng):
+    """A covariance whose smallest eigenvalue sits within a relative 1e-5 of
+    the default rank cut, where eigh and eigvalsh can fall on either side."""
+    n = int(rng.integers(3, 9))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = np.concatenate([[1.0], rng.uniform(0.5, 0.99, size=n - 2),
+                           [1e-10 * (1.0 + rng.uniform(-1e-5, 1e-5))]])
+    m = (q * vals) @ q.T
+    return CovMatrix((m + m.T) / 2.0)
+
+
+def test_one_rank_per_covariance():
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        a = _near_cut(rng)
+        r = numeric_rank(a)
+        assert spectral_decompose(a).rank == r
+        assert np.count_nonzero(np.any(green_factor(a).g != 0.0, axis=0)) == r
+        assert np.linalg.matrix_rank(psd_function(a, "sqrt")) == r
+        # the range/null split and the reachability test see the same rank,
+        # so the Monge path is built or refused, never inconsistent
+        try:
+            make_path(a, CovMatrix(0.5 * np.eye(a.n)))
+        except Unreachable:
+            assert r < a.n
 
 
 def test_spectral_decompose_descending_rank_and_reconstruction():
