@@ -22,7 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalInconsistency, PreconditionFailed
-from .linalg import CovMatrix, _psd_apply, _sym, align_green, green_factor, psd_function
+from .linalg import (
+    CovMatrix,
+    _psd_apply,
+    _sym,
+    align_green,
+    green_factor,
+    numeric_rank,
+    psd_function,
+)
 from .transport import w2_distance
 
 WEIGHT_SUM_TOL = 1e-12
@@ -160,12 +168,21 @@ def solve_bcd(
         Stop when a full sweep improves the objective by less than this;
         defaults to 1e-10 times the weighted trace of the family.
     seed : int, optional
-        When given, each starting factor is the spectral one rotated on the
-        right by an independent Haar-distributed orthogonal matrix, which
-        randomizes the ascent path; the default start is deterministic.
+        When given, each starting factor is the staggered spectral one
+        rotated on the right by an independent Haar-distributed orthogonal
+        matrix, which randomizes the ascent path; the default start is
+        deterministic.
+
+    The default start is the spectral factors, staggered: member i's padded
+    factor is rolled right by the summed numeric ranks of the members before
+    it (mod n).  Unstaggered, every singular member would start in the same
+    first columns, a set that every update maps into itself: a saddle that
+    the ascent leaves only through roundoff, if at all.  Full-rank members
+    roll by multiples of n, so their start is the spectral factor itself.
 
     Every single-factor update maximizes the objective in that coordinate,
-    so ``objective_history`` is nondecreasing up to roundoff.
+    so ``objective_history`` is nondecreasing up to roundoff; each costs one
+    SVD of an n x rank matrix (see :func:`~bwt.linalg.align_green`).
     """
     scale = problem.weighted_trace()
     if tol_obj is None:
@@ -176,8 +193,10 @@ def solve_bcd(
 
     rng = np.random.default_rng(seed) if seed is not None else None
     greens = []
+    offset = 0
     for c in problem.covs:
-        g = green_factor(c).g
+        g = np.roll(green_factor(c).g, offset, axis=1)
+        offset += numeric_rank(c)
         if rng is not None:
             g = g @ _haar_rotation(problem.n, rng)
         greens.append(g)

@@ -329,15 +329,31 @@ def align_green(g1, a2: CovMatrix) -> GreenFactor:
     Given a reference matrix ``g1`` (a GreenFactor or plain square array) and a
     target covariance ``a2``, returns g2 with ``g2 @ g2.T == a2`` and
     ``g1.T @ g2`` symmetric PSD; among all factors of ``a2`` this one maximizes
-    ``tr(g1.T @ g2)``.  Construction: full SVD ``g1.T @ sqrt(a2) = U D Vt``,
-    then ``g2 = sqrt(a2) @ Vt.T @ U.T``.  The full SVD extends the rotation
-    over orthogonal complements deterministically.
+    ``tr(g1.T @ g2)``.
+
+    Construction: with ``f = U_r sqrt(lambda_r)`` the n x r factor of the top
+    :func:`numeric_rank` eigenpairs of ``a2`` (from its cached ``eigh``), the
+    thin SVD ``g1.T @ f = P S Qt`` gives ``g2 = f @ Qt.T @ P.T``, an n x r
+    SVD instead of an n x n one.  That maximizer is unique, and equal to the
+    full construction below, when ``g1.T @ f`` has full column rank at
+    ``a2.tol_rel``.  Otherwise (orthogonal ranges, a zero reference or a zero
+    ``a2``) the maximizers form a family, and the member is the one of the
+    full SVD ``g1.T @ sqrt(a2) = U D Vt``, ``g2 = sqrt(a2) @ Vt.T @ U.T``,
+    which extends the rotation over orthogonal complements deterministically.
     """
     ref = _as_reference(g1)
     if ref.shape[0] != a2.n:
         raise InvalidInput(
             f"dimension mismatch: reference is {ref.shape[0]}, target is {a2.n}"
         )
+    rank = numeric_rank(a2)
+    if rank:
+        w, u = _eigh(a2)
+        live = slice(a2.n - rank, None)
+        f = u[:, live] * np.sqrt(w[live])
+        p, s, qt = np.linalg.svd(ref.T @ f, full_matrices=False)
+        if _rank(s, a2.tol_rel * s[0]) == rank:
+            return GreenFactor(g=f @ qt.T @ p.T, parent_dim=a2.n)
     root = psd_function(a2, "sqrt")
     u, _, vt = np.linalg.svd(ref.T @ root)
     return GreenFactor(g=root @ vt.T @ u.T, parent_dim=a2.n)

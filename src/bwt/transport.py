@@ -156,10 +156,20 @@ class _Core:
         self.schur_sqrt = _from_spectrum(su, fw)
 
     def _x_pow(self, p: float) -> np.ndarray:
+        """x^p on the live spectrum.  x scales as the square of the pair, so
+        x^(-1.5) overflows at pair scales below about 1e-103; a power that is
+        not finite raises NumericalInconsistency instead of passing inf on."""
         w, live = self._x_eigvals, self._x_live
         fw = np.zeros_like(w)
-        fw[live] = w[live] ** p
-        return _from_spectrum(self._x_eigvecs, fw)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fw[live] = w[live] ** p
+            out = _from_spectrum(self._x_eigvecs, fw)
+        if not np.all(np.isfinite(out)):
+            raise NumericalInconsistency(
+                f"x^({p:g}) is not finite: an eigenvalue of x is too small "
+                "for its power at this scale"
+            )
+        return out
 
     def t11(self) -> np.ndarray:
         """g11^(-1) x^(1/2) g11^(-1): the range block of every optimal map."""
@@ -168,6 +178,8 @@ class _Core:
     def spd_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """The blocks t12 and t22 of the canonical symmetric PSD map."""
         t12 = self.ig11 @ self.x_pinv_sqrt @ self.g11 @ self.bv.b12
+        if not self.n2:  # no null block, and no x^(-1.5) to overflow
+            return t12, np.zeros((0, 0))
         t22 = self.bv.b21 @ self.g11 @ self._x_pow(-1.5) @ self.g11 @ self.bv.b12
         return t12, t22
 

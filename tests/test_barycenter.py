@@ -12,6 +12,7 @@ from bwt import (
     frechet_variance,
     hierarchical_closed_form,
     multicoupling_kernel,
+    numeric_rank,
     orthogonal_closed_form,
     ranges_orthogonal,
     solve_bcd,
@@ -113,6 +114,20 @@ def test_fixed_point_residual_small_at_bcd_output():
         prob = rand_problem(rng, 4, 3)
         res = solve_bcd(prob, seed=k)
         assert fixed_point_residual(prob, res.a_hat) <= 1e-6 * (1 + res.a_hat.trace())
+
+
+@pytest.mark.parametrize("n,k,r", [(12, 4, 3), (20, 5, 8), (30, 6, 10)])
+def test_default_start_leaves_the_singular_saddle(n, k, r):
+    # Rank-r members all started in the same r columns would hold the ascent
+    # on a rank-r saddle; the staggered start must reach the best objective
+    # of the random starts, and a barycenter of rank above r.
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        prob = BarycenterProblem(tuple(rand_psd(rng, n, r) for _ in range(k)), (1.0 / k,) * k)
+        res = solve_bcd(prob)
+        best = max(solve_bcd(prob, seed=s).objective for s in range(3))
+        assert res.objective >= best * (1 - 1e-8)
+        assert numeric_rank(res.a_hat) > r
 
 
 def test_fixed_point_is_necessary_but_not_sufficient():

@@ -147,6 +147,15 @@ def test_map_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_map_exit_code_at_tiny_scale(tmp_path, capsys):
+    # x^(-1.5) overflows at this scale: a numerical failure (5), not an
+    # input error (2)
+    a = write_mat(tmp_path, "a.json", (np.array(A3) * 1e-156).tolist())
+    b = write_mat(tmp_path, "b.json", (np.array(B3) * 1e-156).tolist())
+    assert main(["map", a, b, "--check-only"]) == 5
+    assert "error:" in capsys.readouterr().err
+
+
 def test_geodesic_midpoint_exact_bytes(tmp_path, capsys):
     a = write_mat(tmp_path, "a.json", A2)
     b = write_mat(tmp_path, "b.json", B2)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from bwt import (
+    BarycenterProblem,
     BwtError,
     CovMatrix,
     canonical_spd_map,
@@ -25,6 +26,7 @@ from bwt import (
     ot_map,
     psd_function,
     schur_complement,
+    solve_bcd,
     spd_reachability,
     spectral_decompose,
     trace_fidelity,
@@ -120,6 +122,28 @@ def test_construction_makes_one_eigvalsh(count_decomps, pair):
     for x in PAIRS[pair]():
         assert count_decomps(CovMatrix, x) == 1
         assert count_decomps.calls == ["eigvalsh"]
+
+
+def test_barycenter_ascent_makes_one_svd_per_update(count_decomps, monkeypatch):
+    # each update is one n x r SVD on the member's cached spectrum: no
+    # per-update eigh or n x n root, and no second SVD
+    rng = np.random.default_rng(12)
+    prob = BarycenterProblem(tuple(rand_psd(rng, 20, 8) for _ in range(5)), (0.2,) * 5)
+    shapes, counted_svd = [], np.linalg.svd
+
+    def svd(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return counted_svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    results = []
+    count_decomps(lambda: results.append(solve_bcd(prob)))
+    res = results[0]
+    assert res.iterations > 1
+    assert count_decomps.calls.count("svd") == prob.size * res.iterations
+    assert set(shapes) == {(20, 8)}
+    # the members' spectra and that of a_hat, all outside the sweeps
+    assert count_decomps.calls.count("eigh") <= prob.size + 1
 
 
 def _blob(x) -> bytes:

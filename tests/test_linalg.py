@@ -192,6 +192,22 @@ def test_align_green_gram_is_psd_and_trace_maximal():
             assert np.trace(ref.T @ alt) <= best + 1e-9 * (1 + abs(best))
 
 
+def test_align_green_on_singular_target_matches_the_full_svd():
+    # the n x r construction against the n x n one it replaces: for a
+    # generic reference the maximizer is unique, so the two agree to roundoff
+    rng = np.random.default_rng(18)
+    for n, r in [(2, 1), (5, 2), (8, 7), (12, 3), (30, 10)]:
+        a2 = rand_psd(rng, n, r)
+        ref = rng.standard_normal((n, n))
+        w, u = np.linalg.eigh(a2.data)
+        w = np.where(w > 1e-10 * w[-1], w, 0.0)
+        root = (u * np.sqrt(w)) @ u.T
+        p, _, qt = np.linalg.svd(ref.T @ root)
+        want = root @ qt.T @ p.T
+        got = align_green(ref, a2).g
+        assert np.abs(got - want).max() <= 1e-12 * (1 + np.linalg.norm(a2.data))
+
+
 def test_align_green_accepts_green_factor_reference():
     rng = np.random.default_rng(17)
     a1 = rand_psd(rng, 4, 2)

@@ -9,12 +9,14 @@ from bwt import (
     InvalidParam,
     NoSpdMap,
     NotInvertible,
+    NumericalInconsistency,
     Unreachable,
     canonical_spd_map,
     dual_conjugate,
     green_factor,
     is_reachable,
     make_param,
+    numeric_rank,
     optimal_coupling,
     ot_map,
     pusz_woronowicz,
@@ -229,6 +231,27 @@ def test_spd_reachability_consistent_on_seeded_pairs():
         assert (rep.witness is not None) == rep.spd_exists
         seen[rep.spd_exists] += 1
     # the generator must exercise both outcomes
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def test_tiny_scale_overflow_raises_a_bwt_error():
+    # At a pair scale of 1e-156 the eigenvalues of x = g11 b11 g11 are
+    # subnormal, so the x^(-1.5) of the canonical map's null block overflows.
+    # That must surface as a bwt error, not as a numpy warning or LinAlgError.
+    seen = {True: 0, False: 0}
+    for seed in range(30):
+        a, b = rand_reachable_pair(np.random.default_rng(seed), 5)
+        a, b = CovMatrix(a.data * 1e-156), CovMatrix(b.data * 1e-156)
+        singular = numeric_rank(a) < a.n
+        if singular:
+            with pytest.raises(NumericalInconsistency):
+                spd_reachability(a, b)
+            with pytest.raises(NumericalInconsistency):
+                canonical_spd_map(a, b)
+        else:
+            # no null block and no x^(-1.5): the answer at scale 1 stands
+            assert spd_reachability(a, b).spd_exists
+        seen[singular] += 1
     assert seen[True] > 0 and seen[False] > 0
 
 
