@@ -16,9 +16,11 @@ compressions, Schur complements) decide their own ranks.
 
 Decompositions are shared rather than repeated.  A small cache keyed by
 object identity (:func:`_memoized`) holds the last few eigendecompositions,
-pair contexts and pair results.  Every shared value is what a fresh
-computation on the same, immutable input would return, so results do not
-depend on what the cache holds.
+block splits, pair contexts and pair results.  Every shared value is what
+a fresh computation on the same, immutable input would return, so results
+do not depend on what the cache holds.  Work on a pair is sized by the
+ranks: it goes through the n x rank spectral factors (:func:`_thin_factor`),
+not the zero-padded square ones.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from .errors import InvalidInput
 
 DEFAULT_TOL_REL = 1e-10
 
-#: Entries the decomposition cache keeps: enough for the spectra, pair
-#: context and pair results of a source, a target and one point between them.
+#: Entries the decomposition cache keeps: enough for the spectra, block
+#: splits, pair context and pair results of a source, a target and one point
+#: between them (eleven entries).
 _MEMO_SIZE = 12
 _memo: OrderedDict = OrderedDict()
 _memo_lock = threading.Lock()
@@ -239,18 +242,26 @@ def spectral_decompose(a: CovMatrix) -> SpectralDecomp:
                           rank=numeric_rank(a))
 
 
+def _live_eigs(a: CovMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The top :func:`numeric_rank` eigenpairs of :func:`spectral_decompose`:
+    eigenvalues descending, eigenvectors as columns with their signs fixed."""
+    dec = spectral_decompose(a)
+    return dec.eigvals[: dec.rank], dec.eigvecs[:, : dec.rank]
+
+
+def _thin_factor(a: CovMatrix) -> np.ndarray:
+    """The n x rank spectral factor ``U_r sqrt(lambda_r)`` of ``a``: the
+    nonzero columns of ``green_factor(a)``, in the same order."""
+    w, u = _live_eigs(a)
+    return u * np.sqrt(w)
+
+
 def _psd_apply(mat: np.ndarray, f: str, tol_rel: float) -> np.ndarray:
     """Apply sqrt / pinv / pinv_sqrt to a raw symmetric PSD array."""
-    return _psd_functions(mat, (f,), tol_rel)[0]
-
-
-def _psd_functions(mat: np.ndarray, fs, tol_rel: float) -> list:
-    """:func:`_psd_apply` for each name in ``fs``, from one eigendecomposition."""
     if mat.shape[0] == 0:
-        return [mat.copy() for _ in fs]
+        return mat.copy()
     w, u = np.linalg.eigh(_sym(mat))
-    rank = _rank(w, tol_rel * max(w[-1], 0.0))
-    return [_psd_from_eigh(w, u, f, rank) for f in fs]
+    return _psd_from_eigh(w, u, f, _rank(w, tol_rel * max(w[-1], 0.0)))
 
 
 def _psd_from_eigh(w: np.ndarray, u: np.ndarray, f: str, rank: int) -> np.ndarray:
@@ -302,10 +313,9 @@ def green_factor(a: CovMatrix, method: str = "spectral") -> GreenFactor:
     """
     n = a.n
     if method == "spectral":
-        dec = spectral_decompose(a)
+        f = _thin_factor(a)
         g = np.zeros((n, n))
-        if dec.rank > 0:
-            g[:, : dec.rank] = dec.eigvecs[:, : dec.rank] * np.sqrt(dec.eigvals[: dec.rank])
+        g[:, : f.shape[1]] = f
         return GreenFactor(g=g, parent_dim=n)
     if method == "pivoted_cholesky":
         from scipy.linalg import lapack
@@ -374,9 +384,10 @@ def trace_fidelity(a: CovMatrix, b: CovMatrix) -> float:
 
 
 def _fidelity(a: CovMatrix, b: CovMatrix) -> float:
-    g = green_factor(a).g
-    w = np.linalg.eigvalsh(_sym(g.T @ b.data @ g))
-    # Eigenvalues of g.T b g below the pair's noise floor are dropped before
+    # f.T b f is rank(a) x rank(a): the square factor only pads it with zeros
+    f = _thin_factor(a)
+    w = np.linalg.eigvalsh(_sym(f.T @ b.data @ f))
+    # Eigenvalues of f.T b f below the pair's noise floor are dropped before
     # the square root: sqrt amplifies an O(eps)-sized eigenvalue to O(
     # sqrt(eps)), which would otherwise dominate the error in the sum.
     w = np.where(_live(w, max(a.tol_rel, b.tol_rel) * a.lam_max * b.lam_max), w, 0.0)

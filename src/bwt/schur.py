@@ -7,10 +7,14 @@ independent routes and cross-checked:
 1. the defining formula  b22 - (b11^(+/2) b12)^T (b11^(+/2) b12)  in block
    coordinates, and
 2. the projection identity  b^(1/2) P b^(1/2) restricted to null(a), where P
-   projects onto null(g^T b^(1/2)) for any factor g of a.
+   projects onto null(g^T b^(1/2)) for any factor g of a.  With f_a and f_b
+   the thin spectral factors of a and b (n x rank), this is f_b N N^T f_b^T
+   for N an orthonormal basis of null(f_a^T f_b): one SVD of a
+   rank(a) x rank(b) matrix, with no n x n root or projector.
 
 The two must agree to roundoff; a larger gap raises NumericalInconsistency
-rather than silently returning either value.
+rather than silently returning either value.  When a has full rank, null(a)
+is empty and so is the complement: neither route runs.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from .linalg import (
     _psd_apply,
     _rank,
     _sym,
+    _thin_factor,
     _tol_bound,
     green_factor,
     numeric_rank,
-    psd_function,
     spectral_decompose,
 )
 
@@ -46,7 +50,8 @@ class BlockView:
 
     q1 and q2 are orthonormal bases of range(a) and null(a); a11 = q1.T a q1 is
     positive definite by construction, and b11, b12, b21, b22 are the blocks of
-    b in the combined basis [q1 q2].
+    b in the combined basis [q1 q2].  A view may be shared between callers, so
+    its arrays are read-only.
     """
 
     q1: np.ndarray
@@ -80,9 +85,15 @@ def block_decompose(a: CovMatrix, b) -> BlockView:
     """Split a symmetric matrix into blocks along range(a) / null(a).
 
     ``b`` may be any symmetric matrix of matching size; PSD is not required
-    at this level (only :func:`schur_complement` needs it).
+    at this level (only :func:`schur_complement` needs it).  The split of a
+    covariance ``b`` is built once and shared while a and b live.
     """
-    b_mat = b.data if isinstance(b, CovMatrix) else np.asarray(b, dtype=float)
+    if isinstance(b, CovMatrix):
+        return _memoized("blocks", (a, b), lambda: _split(a, b.data))
+    return _split(a, np.asarray(b, dtype=float))
+
+
+def _split(a: CovMatrix, b_mat: np.ndarray) -> BlockView:
     if b_mat.shape != (a.n, a.n):
         raise InvalidInput(f"expected a {a.n}x{a.n} matrix, got shape {b_mat.shape}")
     scale = np.linalg.norm(b_mat)
@@ -92,7 +103,7 @@ def block_decompose(a: CovMatrix, b) -> BlockView:
     dec = spectral_decompose(a)
     q1 = dec.eigvecs[:, : dec.rank]
     q2 = dec.eigvecs[:, dec.rank :]
-    return BlockView(
+    bv = BlockView(
         q1=q1,
         q2=q2,
         a11=_sym(q1.T @ a.data @ q1),
@@ -101,6 +112,9 @@ def block_decompose(a: CovMatrix, b) -> BlockView:
         b21=q2.T @ b_mat @ q1,
         b22=_sym(q2.T @ b_mat @ q2),
     )
+    for m in vars(bv).values():
+        m.flags.writeable = False
+    return bv
 
 
 def schur_complement(a: CovMatrix, b: CovMatrix) -> SchurResult:
@@ -121,23 +135,19 @@ def schur_complement(a: CovMatrix, b: CovMatrix) -> SchurResult:
 
 
 def _schur_complement(a: CovMatrix, b: CovMatrix) -> SchurResult:
+    if numeric_rank(a) == a.n:  # null(a) is empty, and so is the complement
+        return SchurResult(value=np.zeros((a.n, a.n)), rank=0, path_residual=0.0)
     bv = block_decompose(a, b)
     tol = max(a.tol_rel, b.tol_rel)
-    lam_a = a.lam_max
-    lam_b = b.lam_max
 
     # route 1: defining formula in block coordinates
     w = _psd_apply(bv.b11, "pinv_sqrt", tol) @ bv.b12
     val1 = _sym(bv.b22 - w.T @ w)
 
-    # route 2: project b^(1/2) onto null(g^T b^(1/2)) and restrict to null(a)
-    b_root = psd_function(b, "sqrt")
-    g = green_factor(a).g
-    v_null = _null_basis(g.T @ b_root, tol * np.sqrt(lam_a * lam_b))
-    proj = b_root @ (v_null @ v_null.T) @ b_root
-    val2 = _sym(bv.q2.T @ proj @ bv.q2)
+    # route 2: the projection identity, on the thin factors of a and b
+    val2 = _projection_route(a, b, bv.q2)
 
-    residual = float(np.abs(val1 - val2).max()) if val1.size else 0.0
+    residual = float(np.abs(val1 - val2).max())
     if residual > _tol_bound(PATH_TOL, b.data):
         raise NumericalInconsistency(
             f"Schur routes disagree: gap {residual:.3e} "
@@ -145,14 +155,26 @@ def _schur_complement(a: CovMatrix, b: CovMatrix) -> SchurResult:
         )
 
     value = bv.q2 @ val1 @ bv.q2.T
-    if val1.size:
-        ev = np.linalg.eigvalsh(val1)
-        # The cut is anchored to b's top eigenvalue, not the complement's own:
-        # a complement made of pure roundoff must come out rank 0.
-        rank = _rank(ev, tol * lam_b)
-    else:
-        rank = 0
+    # The cut is anchored to b's top eigenvalue, not the complement's own:
+    # a complement made of pure roundoff must come out rank 0.
+    rank = _rank(np.linalg.eigvalsh(val1), tol * b.lam_max)
     return SchurResult(value=_sym(value), rank=rank, path_residual=residual)
+
+
+def _projection_route(a: CovMatrix, b: CovMatrix, q2: np.ndarray) -> np.ndarray:
+    """Route 2: b^(1/2) P b^(1/2) in the null(a) coordinates ``q2``.
+
+    With f_a, f_b the thin spectral factors and b^(1/2) = f_b U_b^T, the
+    matrix g^T b^(1/2) is f_a^T f_b U_b^T, so P keeps null(U_b^T) and
+    U_b null(f_a^T f_b), and the projection is f_b N N^T f_b^T for N spanning
+    null(f_a^T f_b).  f_a^T f_b has the singular values of g^T b^(1/2), so it
+    is cut where g^T b^(1/2) was.
+    """
+    tol = max(a.tol_rel, b.tol_rel)
+    f_b = _thin_factor(b)
+    v_null = _null_basis(_thin_factor(a).T @ f_b, tol * np.sqrt(a.lam_max * b.lam_max))
+    y = q2.T @ f_b @ v_null
+    return _sym(y @ y.T)
 
 
 def schur_rank_identity(a: CovMatrix, b: CovMatrix, g: GreenFactor | None = None) -> tuple[int, int]:

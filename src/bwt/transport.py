@@ -31,10 +31,10 @@ from .linalg import (
     _fix_signs,
     _from_spectrum,
     _live,
+    _live_eigs,
     _memoized,
     _null_basis,
     _psd_apply,
-    _psd_functions,
     _rank,
     _sym,
     _tol_bound,
@@ -111,8 +111,9 @@ def _core(a: CovMatrix, b: CovMatrix) -> "_Core":
 
 class _Core:
     """Shared block data for the map constructions: the range/null split of a,
-    the factor g11 of a11, the compressed matrix x = g11 b11 g11 with its
-    spectral functions, and the Schur complement via the x-route.
+    the factor g11 = diag(sqrt(lambda_r)) of a11 from a's cached spectrum, the
+    compressed matrix x = g11 b11 g11 with its spectral functions, and the
+    Schur complement via the x-route.
 
     One context serves every construction on the pair (get it from
     :func:`_core`).  It holds no reference to a or b, and no array in it is
@@ -125,7 +126,10 @@ class _Core:
         self.r = self.bv.rank
         self.n2 = self.n - self.r
 
-        self.g11, self.ig11 = _psd_functions(self.bv.a11, ("sqrt", "pinv_sqrt"), a.tol_rel)
+        # a11 is diag(lambda_r) in a's eigenbasis q1, so its factor and the
+        # inverse come from a's spectrum, at a's own rank
+        root = np.sqrt(_live_eigs(a)[0])
+        self.g11, self.ig11 = np.diag(root), np.diag(1.0 / root)
 
         # Every spectral cut below is anchored to the pair's scale rather than
         # the derived matrix's own top eigenvalue, so a block that is pure
@@ -432,9 +436,12 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     # 3. norm of the independently computed Schur complement
     schur_zero = float(np.linalg.norm(schur_complement(a, b).value)) <= tol_abs
 
-    # 4. rank(b) == rank(b a), both via singular values; the product's cut is
-    # anchored at lam_max(a) lam_max(b) so an all-noise product has rank 0
-    sv = np.linalg.svd(b.data @ a.data, compute_uv=False)
+    # 4. rank(b) == rank(b a), both via singular values.  On the live
+    # eigenpairs b a = U_b (L_b U_b^T U_a L_a) U_a^T, so sigma(b a) is that of
+    # the rank(b) x rank(a) middle factor.  Its cut is anchored at
+    # lam_max(a) lam_max(b) so an all-noise product has rank 0.
+    (w_a, u_a), (w_b, u_b) = _live_eigs(a), _live_eigs(b)
+    sv = np.linalg.svd((u_b * w_b).T @ (u_a * w_a), compute_uv=False)
     range_eq = numeric_rank(b) == _rank(sv, core.tol * core.lam_a * core.lam_b)
 
     # 5. principal angles between range(b) and null(a)

@@ -44,7 +44,13 @@ def _n30_pair():
     return rand_psd(rng, 30, 20).data, rand_psd(rng, 30, 12).data
 
 
-PAIRS = {"readme": lambda: (README_A, README_B), "n30": _n30_pair}
+def _full_rank_source_pair():
+    rng = np.random.default_rng(31)
+    return rand_psd(rng, 30, 30).data, rand_psd(rng, 30, 12).data
+
+
+PAIRS = {"readme": lambda: (README_A, README_B), "n30": _n30_pair,
+         "full": _full_rank_source_pair}
 
 
 def _session(a, b, gamma):
@@ -67,18 +73,20 @@ OPS = {
     "session": _session,
 }
 
-#: Decompositions per call on fresh inputs, (README pair, n = 30 pair).
-#: Before the shared spectra and pair contexts these were 4/4, 40/40,
-#: 13/13, 20/20, 16/16, 22/22, 8/8 and 104/105.
+#: Decompositions per call on fresh inputs, in the order of ``PAIRS``.
+#: Before the shared spectra and pair contexts the README and n = 30 counts
+#: were 4/4, 40/40, 13/13, 20/20, 16/16, 22/22, 8/8 and 104/105; before the
+#: rank-sized pair layer they were 2/2, 12/12, 6/6, 6/6, 4/4, 9/9, 5/5 and
+#: 19/19.
 BOUNDS = {
-    "w2_distance": (2, 4),
-    "spd_reachability": (12, 14),
-    "ot_map": (6, 8),
-    "canonical_spd_map": (6, 8),
-    "make_path": (4, 6),
-    "classify_point": (9, 12),
-    "schur_complement": (5, 7),
-    "session": (19, 23),
+    "w2_distance": (2, 2, 2),
+    "spd_reachability": (11, 11, 6),
+    "ot_map": (5, 5, 3),
+    "canonical_spd_map": (5, 5, 3),
+    "make_path": (3, 3, 2),
+    "classify_point": (9, 9, 5),
+    "schur_complement": (5, 5, 0),
+    "session": (18, 18, 9),
 }
 
 
@@ -91,30 +99,48 @@ def _fresh(pair):
 
 @pytest.fixture
 def count_decomps(monkeypatch):
-    calls = []
+    calls, shapes = [], []
     for name in ("eigh", "eigvalsh", "svd"):
         orig = getattr(np.linalg, name)
 
-        def counted(*args, _orig=orig, _name=name, **kwargs):
+        def counted(m, *args, _orig=orig, _name=name, **kwargs):
             calls.append(_name)
-            return _orig(*args, **kwargs)
+            shapes.append(np.shape(m))
+            return _orig(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
 
     def run(fn, *args):
-        del calls[:]
+        del calls[:], shapes[:]
         fn(*args)
         return len(calls)
 
     run.calls = calls  # the names of the last run's decompositions
+    run.shapes = shapes  # and the shapes of what they decomposed
     return run
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
 @pytest.mark.parametrize("pair", sorted(PAIRS))
 def test_decomposition_count_bounds(count_decomps, pair, op):
-    bound = BOUNDS[op][0 if pair == "readme" else 1]
+    bound = BOUNDS[op][list(PAIRS).index(pair)]
     assert count_decomps(OPS[op], *_fresh(pair)) <= bound
+
+
+@pytest.mark.parametrize("op", ["schur_complement", "w2_distance"])
+def test_pair_work_is_rank_sized(count_decomps, op):
+    # past the cached spectra of a (rank 20) and b (rank 12), the n = 30
+    # pair decomposes only blocks and cross Grams of the ranks
+    a, b, gamma = _fresh("n30")
+    spectral_decompose(a), spectral_decompose(b)
+    assert count_decomps(OPS[op], a, b, gamma) > 0
+    assert max(max(s) for s in count_decomps.shapes) <= 20
+
+
+def test_full_rank_base_decomposes_nothing_for_the_complement(count_decomps):
+    a, b, _ = _fresh("full")
+    spectral_decompose(a), spectral_decompose(b)
+    assert count_decomps(schur_complement, a, b) == 0
 
 
 @pytest.mark.parametrize("pair", sorted(PAIRS))

@@ -14,6 +14,7 @@ from bwt import (
     spectral_decompose,
     trace_fidelity,
 )
+from bwt.transport import _core
 from conftest import rand_psd, rand_rank
 
 
@@ -87,6 +88,19 @@ def test_one_rank_per_covariance():
             make_path(a, CovMatrix(0.5 * np.eye(a.n)))
         except Unreachable:
             assert r < a.n
+
+
+def test_pair_context_factors_a11_at_the_split_rank():
+    # g11 comes from a's own spectrum, so near the cut it keeps every
+    # direction the range/null split keeps, and it factors a11
+    rng = np.random.default_rng(1)
+    for _ in range(400):
+        a = _near_cut(rng)
+        core = _core(a, CovMatrix(0.5 * np.eye(a.n)))
+        assert core.r == numeric_rank(a)
+        assert np.linalg.matrix_rank(core.g11) == core.r
+        assert np.abs(core.g11 @ core.ig11 - np.eye(core.r)).max() <= 1e-12
+        assert np.abs(core.g11 @ core.g11 - core.bv.a11).max() <= 1e-12
 
 
 def test_spectral_decompose_descending_rank_and_reconstruction():

@@ -5,10 +5,13 @@ from bwt import (
     CovMatrix,
     InvalidInput,
     block_decompose,
+    green_factor,
     numeric_rank,
+    psd_function,
     schur_complement,
     schur_rank_identity,
 )
+from bwt.schur import _projection_route
 from conftest import rand_psd, rand_rank
 
 A3 = CovMatrix(np.diag([4.0, 1.0, 0.0]))
@@ -53,6 +56,9 @@ def test_schur_complement_hand_examples():
     res3 = schur_complement(full, B3)
     assert np.linalg.norm(res3.value) <= 1e-10
     assert res3.rank == 0
+    # null(a) is empty: exact zeros, with no route run and no gap between them
+    assert res3.value.tobytes() == np.zeros((3, 3)).tobytes()
+    assert res3.path_residual == 0.0
 
 
 def test_schur_complement_of_self_is_zero():
@@ -107,3 +113,44 @@ def rhs_via_direct(a, b):
 def test_schur_rank_identity_hand_values():
     assert schur_rank_identity(A3, B3) == (0, 0)
     assert schur_rank_identity(A3, C3) == (1, 1)
+
+
+def test_block_view_is_read_only_and_shared():
+    bv = block_decompose(A3, B3)
+    assert block_decompose(A3, B3) is bv
+    for name in ("q1", "q2", "a11", "b11", "b12", "b21", "b22"):
+        with pytest.raises(ValueError):
+            getattr(bv, name)[...] = 0.0
+    # a raw array is split afresh, into read-only blocks as well
+    raw = block_decompose(A3, B3.data.copy())
+    assert raw is not bv
+    assert raw.b11.tobytes() == bv.b11.tobytes()
+    with pytest.raises(ValueError):
+        raw.b11[0, 0] = 1.0
+
+
+def _old_projection_route(a, b):
+    """Route 2 as b^(1/2) P b^(1/2) on null(a), with P from the n x n SVD of
+    g^T b^(1/2) for the square spectral factor g of a."""
+    tol = max(a.tol_rel, b.tol_rel)
+    root = psd_function(b, "sqrt")
+    _, s, vt = np.linalg.svd(green_factor(a).g.T @ root)
+    cut = tol * np.sqrt(a.lam_max * b.lam_max)
+    v = vt[np.count_nonzero(s > cut):].T
+    q2 = block_decompose(a, b).q2
+    return q2.T @ root @ v @ v.T @ root @ q2
+
+
+def test_projection_route_on_thin_factors_matches_the_square_svd():
+    rng = np.random.default_rng(24)
+    for k in range(50):
+        n = int(rng.integers(2, 10))
+        # a singular, of rank 0 on every fifth pair; b of rank 0 on every seventh
+        ra = 0 if k % 5 == 0 else int(rng.integers(1, n))
+        rb = 0 if k % 7 == 3 else int(rng.integers(1, n + 1))
+        a, b = rand_psd(rng, n, ra), rand_psd(rng, n, rb)
+        scale = 1.0 + np.linalg.norm(b.data)
+        new = _projection_route(a, b, block_decompose(a, b).q2)
+        assert np.abs(new - _old_projection_route(a, b)).max() <= 1e-12 * scale
+        assert schur_complement(a, b).path_residual <= 1e-12 * scale
+
