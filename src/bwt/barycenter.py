@@ -60,8 +60,8 @@ class BarycenterProblem:
                 raise InvalidInput("covariances must be CovMatrix instances")
             if c.n != n:
                 raise InvalidInput("covariances must share one dimension")
-        if any(w <= 0.0 for w in weights):
-            raise InvalidInput("weights must be strictly positive")
+        if not all(0.0 < w < np.inf for w in weights):
+            raise InvalidInput(f"weights must be finite and strictly positive, got {weights!r}")
         if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInput(f"weights must sum to 1, got {sum(weights)!r}")
         object.__setattr__(self, "covs", covs)
@@ -300,8 +300,8 @@ def hierarchical_closed_form(
         raise InvalidInput("need at least one group")
     if len(groups) != len(outer):
         raise InvalidInput(f"{len(groups)} groups but {len(outer)} outer weights")
-    if any(q <= 0.0 for q in outer):
-        raise InvalidInput("outer weights must be strictly positive")
+    if not all(0.0 < q < np.inf for q in outer):
+        raise InvalidInput(f"outer weights must be finite and strictly positive, got {outer!r}")
     if abs(sum(outer) - 1.0) > WEIGHT_SUM_TOL:
         raise InvalidInput(f"outer weights must sum to 1, got {sum(outer)!r}")
     n = groups[0].n

@@ -9,14 +9,19 @@ A :class:`CovMatrix` holds the symmetrized input as given: validation
 rejects eigenvalues below ``-tol_rel * lambda_max`` but clamps and rebuilds
 nothing, so wrapping ``c.data`` again gives the same bytes.  It keeps the
 eigenvalues its validation computed, and :func:`numeric_rank` counts them:
-that count is the only rank of a covariance, and :func:`spectral_decompose`,
-:func:`psd_function` and :func:`green_factor` keep that many eigenpairs of
-its ``eigh``.  Matrices derived from a covariance or a pair (blocks,
-compressions, Schur complements) decide their own ranks.
+that count is the only rank of a covariance.
+
+Each covariance has one eigendecomposition, :func:`spectral_decompose`: one
+``eigh``, eigenvalues descending, eigenvector signs fixed, arrays read-only.
+Every spectral quantity of a covariance reads it (:func:`psd_function`,
+:func:`green_factor`, :func:`align_green`, the thin factor, the range/null
+split of a pair), keeping its top :func:`numeric_rank` eigenpairs.  Matrices
+derived from a covariance or a pair (blocks, compressions, Schur
+complements) decide their own ranks.
 
 Decompositions are shared rather than repeated.  A small cache keyed by
-object identity (:func:`_memoized`) holds the last few eigendecompositions,
-block splits, pair contexts and pair results.  Every shared value is what
+object identity (:func:`_memoized`) holds the last few spectra, block
+splits, pair contexts and pair results.  Every shared value is what
 a fresh computation on the same, immutable input would return, so results
 do not depend on what the cache holds.  Work on a pair is sized by the
 ranks: it goes through the n x rank spectral factors (:func:`_thin_factor`),
@@ -36,9 +41,11 @@ from .errors import InvalidInput
 
 DEFAULT_TOL_REL = 1e-10
 
-#: Entries the decomposition cache keeps: enough for the spectra, block
-#: splits, pair context and pair results of a source, a target and one point
-#: between them (eleven entries).
+#: Entries the decomposition cache keeps: enough for the spectra (one
+#: :class:`SpectralDecomp` per covariance), block splits, pair context and
+#: pair results of a source, a target and one point between them (eleven
+#: entries).  The spectra live here rather than on :class:`CovMatrix`, so a
+#: long family of covariances does not keep every eigenbasis alive.
 _MEMO_SIZE = 12
 _memo: OrderedDict = OrderedDict()
 _memo_lock = threading.Lock()
@@ -73,11 +80,6 @@ def _memoized(tag: str, objs: tuple, build):
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
-
-
-def _from_spectrum(u: np.ndarray, fw: np.ndarray) -> np.ndarray:
-    """The symmetric matrix with eigenvectors ``u`` (columns) and eigenvalues ``fw``."""
-    return _sym((u * fw) @ u.T)
 
 
 def _live(w: np.ndarray, cut: float) -> np.ndarray:
@@ -218,28 +220,25 @@ def _as_reference(g) -> np.ndarray:
     return mat
 
 
-def _eigh(a: CovMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(a.data)``, shared through the decomposition cache."""
-
-    def build():
-        w, u = np.linalg.eigh(a.data)
-        w.flags.writeable = False
-        u.flags.writeable = False
-        return w, u
-
-    return _memoized("eigh", (a,), build)
-
-
 def spectral_decompose(a: CovMatrix) -> SpectralDecomp:
-    """Eigendecomposition with a deterministic sign convention.
+    """The eigendecomposition of ``a``, with a deterministic sign convention.
 
     Eigenvalues come out descending.  Each eigenvector is flipped so that its
     first component of largest absolute value is positive, which pins the
-    basis down to a reproducible choice.
+    basis down to a reproducible choice.  This is the one decomposition of a
+    covariance: it is computed once (one ``eigh``) and shared through the
+    decomposition cache, so every call on ``a`` returns the same object, and
+    its arrays are read-only.
     """
-    w, u = _eigh(a)
-    return SpectralDecomp(eigvals=w[::-1].copy(), eigvecs=_fix_signs(u[:, ::-1]),
-                          rank=numeric_rank(a))
+
+    def build():
+        w, u = np.linalg.eigh(a.data)
+        w, u = w[::-1].copy(), _fix_signs(u[:, ::-1])
+        w.flags.writeable = False
+        u.flags.writeable = False
+        return SpectralDecomp(eigvals=w, eigvecs=u, rank=numeric_rank(a))
+
+    return _memoized("eigh", (a,), build)
 
 
 def _live_eigs(a: CovMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -256,28 +255,26 @@ def _thin_factor(a: CovMatrix) -> np.ndarray:
     return u * np.sqrt(w)
 
 
+#: The spectral functions of :func:`psd_function`, by name.
+_PSD_FUNCTIONS = {"sqrt": np.sqrt, "pinv": lambda w: 1.0 / w,
+                  "pinv_sqrt": lambda w: 1.0 / np.sqrt(w)}
+
+
 def _psd_apply(mat: np.ndarray, f: str, tol_rel: float) -> np.ndarray:
     """Apply sqrt / pinv / pinv_sqrt to a raw symmetric PSD array."""
     if mat.shape[0] == 0:
         return mat.copy()
     w, u = np.linalg.eigh(_sym(mat))
-    return _psd_from_eigh(w, u, f, _rank(w, tol_rel * max(w[-1], 0.0)))
+    return _psd_from_eigh(w, u, _PSD_FUNCTIONS[f], _live(w, tol_rel * max(w[-1], 0.0)))
 
 
-def _psd_from_eigh(w: np.ndarray, u: np.ndarray, f: str, rank: int) -> np.ndarray:
-    """A spectral function of the matrix with ascending eigenpairs (w, u),
-    applied to the top ``rank`` eigenvalues; the rest map to zero."""
-    live = slice(len(w) - rank, None)
+def _psd_from_eigh(w: np.ndarray, u: np.ndarray, fn, live) -> np.ndarray:
+    """The symmetric matrix with eigenpairs (w, u) after ``fn`` maps the
+    eigenvalues that ``live`` indexes (a mask or a slice); the rest map to
+    zero."""
     fw = np.zeros_like(w)
-    if f == "sqrt":
-        fw[live] = np.sqrt(w[live])
-    elif f == "pinv":
-        fw[live] = 1.0 / w[live]
-    elif f == "pinv_sqrt":
-        fw[live] = 1.0 / np.sqrt(w[live])
-    else:
-        raise InvalidInput(f"unknown matrix function {f!r}")
-    return _from_spectrum(u, fw)
+    fw[live] = fn(w[live])
+    return _sym((u * fw) @ u.T)
 
 
 def psd_function(a: CovMatrix, f: str) -> np.ndarray:
@@ -291,8 +288,10 @@ def psd_function(a: CovMatrix, f: str) -> np.ndarray:
         treated as zero, so ``pinv`` variants are Moore-Penrose on the
         numeric range.
     """
-    w, u = _eigh(a)
-    return _psd_from_eigh(w, u, f, numeric_rank(a))
+    if f not in _PSD_FUNCTIONS:
+        raise InvalidInput(f"unknown matrix function {f!r}")
+    dec = spectral_decompose(a)
+    return _psd_from_eigh(dec.eigvals, dec.eigvecs, _PSD_FUNCTIONS[f], slice(dec.rank))
 
 
 def numeric_rank(a: CovMatrix) -> int:
@@ -342,10 +341,10 @@ def align_green(g1, a2: CovMatrix) -> GreenFactor:
     ``tr(g1.T @ g2)``.
 
     Construction: with ``f = U_r sqrt(lambda_r)`` the n x r factor of the top
-    :func:`numeric_rank` eigenpairs of ``a2`` (from its cached ``eigh``), the
-    thin SVD ``g1.T @ f = P S Qt`` gives ``g2 = f @ Qt.T @ P.T``, an n x r
-    SVD instead of an n x n one.  That maximizer is unique, and equal to the
-    full construction below, when ``g1.T @ f`` has full column rank at
+    :func:`numeric_rank` eigenpairs of :func:`spectral_decompose` of ``a2``,
+    the thin SVD ``g1.T @ f = P S Qt`` gives ``g2 = f @ Qt.T @ P.T``, an
+    n x r SVD instead of an n x n one.  That maximizer is unique, and equal
+    to the full construction below, when ``g1.T @ f`` has full column rank at
     ``a2.tol_rel``.  Otherwise (orthogonal ranges, a zero reference or a zero
     ``a2``) the maximizers form a family, and the member is the one of the
     full SVD ``g1.T @ sqrt(a2) = U D Vt``, ``g2 = sqrt(a2) @ Vt.T @ U.T``,
@@ -358,9 +357,7 @@ def align_green(g1, a2: CovMatrix) -> GreenFactor:
         )
     rank = numeric_rank(a2)
     if rank:
-        w, u = _eigh(a2)
-        live = slice(a2.n - rank, None)
-        f = u[:, live] * np.sqrt(w[live])
+        f = _thin_factor(a2)
         p, s, qt = np.linalg.svd(ref.T @ f, full_matrices=False)
         if _rank(s, a2.tol_rel * s[0]) == rank:
             return GreenFactor(g=f @ qt.T @ p.T, parent_dim=a2.n)

@@ -29,18 +29,17 @@ from .linalg import (
     GreenFactor,
     _check_pair,
     _fix_signs,
-    _from_spectrum,
     _live,
     _live_eigs,
     _memoized,
     _null_basis,
     _psd_apply,
+    _psd_from_eigh,
     _rank,
     _sym,
     _tol_bound,
     numeric_rank,
     psd_function,
-    spectral_decompose,
     trace_fidelity,
 )
 from .schur import BlockView, block_decompose, schur_complement
@@ -151,23 +150,18 @@ class _Core:
             sw, su = np.linalg.eigh(self.schur)
         else:
             sw, su = np.zeros(0), np.zeros((0, 0))
-        self._schur_eigvals = sw
         self._schur_eigvecs = su
         self._schur_live = _live(sw, self.tol * self.lam_b)
         self.schur_rank = _rank(sw, self.tol * self.lam_b)
-        fw = np.zeros_like(sw)
-        fw[self._schur_live] = np.sqrt(sw[self._schur_live])
-        self.schur_sqrt = _from_spectrum(su, fw)
+        self.schur_sqrt = _psd_from_eigh(sw, su, np.sqrt, self._schur_live)
 
     def _x_pow(self, p: float) -> np.ndarray:
         """x^p on the live spectrum.  x scales as the square of the pair, so
         x^(-1.5) overflows at pair scales below about 1e-103; a power that is
         not finite raises NumericalInconsistency instead of passing inf on."""
-        w, live = self._x_eigvals, self._x_live
-        fw = np.zeros_like(w)
         with np.errstate(over="ignore", invalid="ignore"):
-            fw[live] = w[live] ** p
-            out = _from_spectrum(self._x_eigvecs, fw)
+            out = _psd_from_eigh(self._x_eigvals, self._x_eigvecs, lambda w: w ** p,
+                                 self._x_live)
         if not np.all(np.isfinite(out)):
             raise NumericalInconsistency(
                 f"x^({p:g}) is not finite: an eigenvalue of x is too small "
@@ -221,7 +215,7 @@ class _Core:
         u12 = np.zeros((self.r, self.n2))
         if self.schur_rank == 0:
             return u12
-        su = _fix_signs(self._schur_eigvecs[:, np.argsort(self._schur_eigvals)[::-1]])
+        su = _fix_signs(self._schur_eigvecs[:, ::-1])
         v_null = _null_basis(self.k, self.tol * np.sqrt(self.lam_a * self.lam_b))
         if v_null.shape[1] < self.schur_rank:
             raise NumericalInconsistency(
@@ -392,11 +386,7 @@ def canonical_spd_map(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_M
         If the Schur complement of (a, b) is nonzero, in which case no
         symmetric PSD transport map exists at all.
     """
-    return _canonical_spd_map(_core(a, b), a, b, tol_map)
-
-
-def _canonical_spd_map(core: _Core, a: CovMatrix, b: CovMatrix,
-                       tol_map: float) -> TransportMap:
+    core = _core(a, b)
     _check_spd(core, b, tol_map)
     _check_reachable(a, b)
     return _ot_map(core, a, b, "deterministic", None, "spd_canonical", tol_map)
@@ -417,14 +407,15 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     5. range(b) intersects null(a) trivially (principal angles).
 
     The criteria share the spectra of a and b, and the canonical witness is
-    built on the context of criterion 1.
+    criterion 1's candidate.
     """
     core = _core(a, b)
     tol_abs = _tol_bound(tol_map, b.data)
 
     # 1. construct the canonical candidate unconditionally and test it
+    t11 = core.t11()
     t12, t22 = core.spd_blocks()
-    cand = core.assemble(core.t11(), t12, t12.T, t22)
+    cand = core.assemble(t11, t12, t12.T, t22)
     res_t = float(np.linalg.norm(cand @ a.data @ cand.T - b.data))
     eig_min = float(np.linalg.eigvalsh(_sym(cand))[0])
     cand_scale = max(float(np.abs(cand).max()), 1.0)
@@ -444,14 +435,13 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     sv = np.linalg.svd((u_b * w_b).T @ (u_a * w_a), compute_uv=False)
     range_eq = numeric_rank(b) == _rank(sv, core.tol * core.lam_a * core.lam_b)
 
-    # 5. principal angles between range(b) and null(a)
-    dec_b = spectral_decompose(b)
-    qb = dec_b.eigvecs[:, : dec_b.rank]
+    # 5. principal angles between range(b), spanned by the live u_b of
+    # criterion 4, and null(a)
     q2 = core.bv.q2
     trivial_intersection = (
-        qb.shape[1] == 0
+        u_b.shape[1] == 0
         or q2.shape[1] == 0
-        or _rank(np.linalg.svd(qb.T @ q2, compute_uv=False), 1.0 - INTERSECT_TOL) == 0
+        or _rank(np.linalg.svd(u_b.T @ q2, compute_uv=False), 1.0 - INTERSECT_TOL) == 0
     )
 
     flags = (spd_exists, as_unique, schur_zero, range_eq, trivial_intersection)
@@ -463,7 +453,10 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
             f"intersection={trivial_intersection}"
         )
 
-    witness = _canonical_spd_map(core, a, b, tol_map) if spd_exists else None
+    # the witness is criterion 1's candidate: with the Schur complement zero,
+    # its u12 is zero and t21 = t12.T
+    witness = _checked_map(a, b, cand, t11, t12.T, np.zeros((core.r, core.n2)),
+                           "spd_canonical", tol_map) if spd_exists else None
     return SpdReachReport(
         spd_exists=spd_exists,
         as_unique=as_unique,

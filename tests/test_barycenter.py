@@ -45,6 +45,18 @@ def test_problem_validation():
         BarycenterProblem((E1, E2), (0.6, 0.6))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_weights_must_be_finite(bad):
+    # nan passes both "w <= 0" and the sum check; the ascent would then
+    # fail inside an SVD instead of at validation
+    with pytest.raises(InvalidInput, match="finite and strictly positive"):
+        BarycenterProblem((E1, E2), (bad, 0.5))
+    g1 = BarycenterProblem((E1,), (1.0,))
+    g2 = BarycenterProblem((E2,), (1.0,))
+    with pytest.raises(InvalidInput, match="finite and strictly positive"):
+        hierarchical_closed_form([g1, g2], [bad, 0.5])
+
+
 def assert_in_midpoint_family(res):
     a = res.a_hat.data
     assert a[0, 0] == pytest.approx(0.25, abs=1e-9)

@@ -237,6 +237,9 @@ def test_barycenter_weights(tmp_path, capsys):
     assert main(["barycenter", a, b, "--weights", "0.25", "--out", out]) == 2
     assert main(["barycenter", a, b, "--weights", "0.6,0.6", "--out", out]) == 2
     capsys.readouterr()
+    for bad in ("nan,0.5", "inf,0.5"):
+        assert main(["barycenter", a, b, "--weights", bad, "--out", out]) == 2
+        assert "finite and strictly positive" in capsys.readouterr().err
 
 
 def test_gp_table_and_report(tmp_path, capsys):

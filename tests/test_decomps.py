@@ -33,6 +33,7 @@ from bwt import (
     w2_distance,
 )
 
+from bwt import linalg
 from conftest import rand_psd
 
 README_A = np.diag([4.0, 1.0, 0.0])
@@ -99,24 +100,26 @@ def _fresh(pair):
 
 @pytest.fixture
 def count_decomps(monkeypatch):
-    calls, shapes = [], []
+    calls, shapes, inputs = [], [], []
     for name in ("eigh", "eigvalsh", "svd"):
         orig = getattr(np.linalg, name)
 
         def counted(m, *args, _orig=orig, _name=name, **kwargs):
             calls.append(_name)
             shapes.append(np.shape(m))
+            inputs.append(m)
             return _orig(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
 
     def run(fn, *args):
-        del calls[:], shapes[:]
+        del calls[:], shapes[:], inputs[:]
         fn(*args)
         return len(calls)
 
     run.calls = calls  # the names of the last run's decompositions
     run.shapes = shapes  # and the shapes of what they decomposed
+    run.inputs = inputs  # and the arrays themselves
     return run
 
 
@@ -141,6 +144,45 @@ def test_full_rank_base_decomposes_nothing_for_the_complement(count_decomps):
     a, b, _ = _fresh("full")
     spectral_decompose(a), spectral_decompose(b)
     assert count_decomps(schur_complement, a, b) == 0
+
+
+@pytest.mark.parametrize("pair", ["n30", "full"])
+def test_one_eigh_per_covariance(count_decomps, monkeypatch, pair):
+    # every covariance a session meets, its inputs and the points it builds,
+    # is decomposed by at most one n x n eigh, whose result all its
+    # consumers share
+    a, b, gamma = _fresh(pair)
+    covs = [a, b]
+    post_init = CovMatrix.__post_init__
+
+    def recorded(self):
+        post_init(self)
+        covs.append(self)
+
+    monkeypatch.setattr(CovMatrix, "__post_init__", recorded)
+    count_decomps(_session, a, b, gamma)
+    decomposed = [m for name, m in zip(count_decomps.calls, count_decomps.inputs)
+                  if name == "eigh" and any(m is c.data for c in covs)]
+    assert len(decomposed) == len({id(m) for m in decomposed})
+    assert any(m is a.data for m in decomposed) and any(m is b.data for m in decomposed)
+
+
+def test_spectral_decompose_is_shared_and_read_only():
+    a, _, _ = _fresh("n30")
+    dec = spectral_decompose(a)
+    assert spectral_decompose(a) is dec
+    for arr in (dec.eigvals, dec.eigvecs):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+@pytest.mark.parametrize("pair", ["n30", "full"])
+def test_twelve_cache_entries_hold_a_session(count_decomps, monkeypatch, pair):
+    # an unbounded cache saves nothing more: a session's spectra, splits,
+    # contexts and results all fit in the bounded one
+    bounded = count_decomps(_session, *_fresh(pair)), list(count_decomps.calls)
+    monkeypatch.setattr(linalg, "_MEMO_SIZE", 10**6)
+    assert (count_decomps(_session, *_fresh(pair)), count_decomps.calls) == bounded
 
 
 @pytest.mark.parametrize("pair", sorted(PAIRS))

@@ -222,6 +222,50 @@ def test_align_green_on_singular_target_matches_the_full_svd():
         assert np.abs(got - want).max() <= 1e-12 * (1 + np.linalg.norm(a2.data))
 
 
+def _ascending_psd_function(a, f):
+    """psd_function on the ascending, unsigned eigh of ``a``: its top
+    numeric_rank eigenpairs are the last ones."""
+    w, u = np.linalg.eigh(a.data)
+    live = slice(a.n - numeric_rank(a), None)
+    fw = np.zeros_like(w)
+    fw[live] = {"sqrt": np.sqrt, "pinv": lambda x: 1.0 / x,
+                "pinv_sqrt": lambda x: 1.0 / np.sqrt(x)}[f](w[live])
+    return (u * fw) @ u.T
+
+
+def _ascending_align_green(ref, a2):
+    """align_green on the ascending, unsigned eigh of ``a2``."""
+    w, u = np.linalg.eigh(a2.data)
+    r = numeric_rank(a2)
+    if r:
+        f = u[:, a2.n - r :] * np.sqrt(w[a2.n - r :])
+        p, s, qt = np.linalg.svd(ref.T @ f, full_matrices=False)
+        if np.count_nonzero(s > a2.tol_rel * s[0]) == r:
+            return f @ qt.T @ p.T
+    root = _ascending_psd_function(a2, "sqrt")
+    p, _, qt = np.linalg.svd(ref.T @ root)
+    return root @ qt.T @ p.T
+
+
+def test_signed_spectrum_matches_the_ascending_eigh():
+    # the one signed, descending spectrum against the ascending eigh that
+    # psd_function and align_green read before: near-cut draws (rank n - 1 or
+    # n), rank 0 and random ranks, against a generic and a zero reference
+    rng = np.random.default_rng(19)
+    draws = [_near_cut(rng) for _ in range(200)]
+    for n in (1, 3, 8):
+        draws += [CovMatrix(np.zeros((n, n))), rand_psd(rng, n),
+                  rand_psd(rng, n, int(rng.integers(1, n + 1)))]
+    for a in draws:
+        for f in ("sqrt", "pinv", "pinv_sqrt"):
+            want = _ascending_psd_function(a, f)
+            assert np.abs(psd_function(a, f) - want).max() <= 1e-12 * (1 + np.linalg.norm(want))
+        for ref in (rng.standard_normal((a.n, a.n)), np.zeros((a.n, a.n))):
+            want = _ascending_align_green(ref, a)
+            got = align_green(ref, a).g
+            assert np.abs(got - want).max() <= 1e-12 * (1 + np.linalg.norm(want))
+
+
 def test_align_green_accepts_green_factor_reference():
     rng = np.random.default_rng(17)
     a1 = rand_psd(rng, 4, 2)
