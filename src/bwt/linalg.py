@@ -355,15 +355,21 @@ def align_green(g1, a2: CovMatrix) -> GreenFactor:
         raise InvalidInput(
             f"dimension mismatch: reference is {ref.shape[0]}, target is {a2.n}"
         )
-    rank = numeric_rank(a2)
+    return GreenFactor(g=_align_thin(ref, _thin_factor(a2), a2), parent_dim=a2.n)
+
+
+def _align_thin(ref: np.ndarray, f: np.ndarray, a2: CovMatrix) -> np.ndarray:
+    """The square factor of :func:`align_green` for a square array ``ref``,
+    given ``f = _thin_factor(a2)``, so that a caller aligning against one
+    covariance many times builds ``f`` once."""
+    rank = f.shape[1]
     if rank:
-        f = _thin_factor(a2)
         p, s, qt = np.linalg.svd(ref.T @ f, full_matrices=False)
         if _rank(s, a2.tol_rel * s[0]) == rank:
-            return GreenFactor(g=f @ qt.T @ p.T, parent_dim=a2.n)
+            return f @ qt.T @ p.T
     root = psd_function(a2, "sqrt")
     u, _, vt = np.linalg.svd(ref.T @ root)
-    return GreenFactor(g=root @ vt.T @ u.T, parent_dim=a2.n)
+    return root @ vt.T @ u.T
 
 
 def trace_fidelity(a: CovMatrix, b: CovMatrix) -> float:

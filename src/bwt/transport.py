@@ -242,11 +242,19 @@ def is_reachable(a: CovMatrix, b: CovMatrix) -> bool:
     return numeric_rank(a) >= numeric_rank(b)
 
 
+def _transport_residual(t, a: CovMatrix, b: CovMatrix) -> float:
+    """||t a t^T - b||_F: how far ``t`` is from pushing N(0, a) to N(0, b)."""
+    return float(np.linalg.norm(t @ a.data @ t.T - b.data))
+
+
 def _checked_map(a: CovMatrix, b: CovMatrix, t, t11, t21, u12, tag: str,
-                 tol_map: float) -> TransportMap:
+                 tol_map: float, res_t: float | None = None) -> TransportMap:
     """Wrap a map with its transport and optimality residuals; a transport
-    residual above ``tol_map * (1 + ||b||)`` raises NumericalInconsistency."""
-    res_t = float(np.linalg.norm(t @ a.data @ t.T - b.data))
+    residual above ``tol_map * (1 + ||b||)`` raises NumericalInconsistency.
+    A caller that already holds ``_transport_residual(t, a, b)`` passes it
+    as ``res_t``."""
+    if res_t is None:
+        res_t = _transport_residual(t, a, b)
     res_o = abs(float(np.trace(a.data @ t)) - trace_fidelity(a, b))
     if res_t > _tol_bound(tol_map, b.data):
         raise NumericalInconsistency(
@@ -416,7 +424,7 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     t11 = core.t11()
     t12, t22 = core.spd_blocks()
     cand = core.assemble(t11, t12, t12.T, t22)
-    res_t = float(np.linalg.norm(cand @ a.data @ cand.T - b.data))
+    res_t = _transport_residual(cand, a, b)
     eig_min = float(np.linalg.eigvalsh(_sym(cand))[0])
     cand_scale = max(float(np.abs(cand).max()), 1.0)
     spd_exists = res_t <= tol_abs and eig_min >= -tol_map * cand_scale
@@ -456,7 +464,7 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     # the witness is criterion 1's candidate: with the Schur complement zero,
     # its u12 is zero and t21 = t12.T
     witness = _checked_map(a, b, cand, t11, t12.T, np.zeros((core.r, core.n2)),
-                           "spd_canonical", tol_map) if spd_exists else None
+                           "spd_canonical", tol_map, res_t) if spd_exists else None
     return SpdReachReport(
         spd_exists=spd_exists,
         as_unique=as_unique,

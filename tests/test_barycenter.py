@@ -8,8 +8,11 @@ from bwt import (
     CovMatrix,
     InvalidInput,
     PreconditionFailed,
+    align_green,
+    barycenter,
     fixed_point_residual,
     frechet_variance,
+    green_factor,
     hierarchical_closed_form,
     multicoupling_kernel,
     numeric_rank,
@@ -140,6 +143,99 @@ def test_default_start_leaves_the_singular_saddle(n, k, r):
         best = max(solve_bcd(prob, seed=s).objective for s in range(3))
         assert res.objective >= best * (1 - 1e-8)
         assert numeric_rank(res.a_hat) > r
+
+
+def plain_ascent(prob):
+    """Block-coordinate ascent from solve_bcd's default start and with its
+    stopping rule, but without Anderson steps: (greens, history, sweeps)."""
+    greens, offset = [], 0
+    for c in prob.covs:
+        greens.append(np.roll(green_factor(c).g, offset, axis=1))
+        offset += numeric_rank(c)
+    g_hat = np.zeros((prob.n, prob.n))
+    for w, g in zip(prob.weights, greens):
+        g_hat += w * g
+    history = [float(np.linalg.norm(g_hat) ** 2)]
+    for sweeps in range(1, 501):
+        start = history[-1]
+        for i, (w, c) in enumerate(zip(prob.weights, prob.covs)):
+            g_rest = g_hat - w * greens[i]
+            greens[i] = align_green(g_rest, c).g
+            g_hat = g_rest + w * greens[i]
+            history.append(float(np.linalg.norm(g_hat) ** 2))
+        if history[-1] - start < 1e-10 * prob.weighted_trace():
+            break
+    return greens, history, sweeps
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The Anderson steps solve_bcd attempts, recorded by a spy."""
+    calls, step = [], barycenter._anderson_step
+
+    def spy(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(barycenter, "_anderson_step", spy)
+    return calls
+
+
+def test_anderson_steps_beat_plain_ascent_on_a_singular_family(step_calls):
+    rng = np.random.default_rng(12)
+    prob = BarycenterProblem(tuple(rand_psd(rng, 20, 8) for _ in range(5)), (0.2,) * 5)
+    _, ref_hist, ref_sweeps = plain_ascent(prob)
+    res = solve_bcd(prob)
+    assert step_calls
+    assert res.converged
+    # each sweep and each attempted step costs one SVD per member
+    assert res.iterations + len(step_calls) < ref_sweeps
+    assert res.objective >= ref_hist[-1] * (1 - 1e-10)
+    hist = res.objective_history
+    assert len(hist) == 1 + res.iterations * prob.size
+    assert all(b >= a - 1e-12 for a, b in zip(hist, hist[1:]))
+    assert hist[-1] == pytest.approx(res.objective, abs=1e-12)
+    for g, c in zip(res.greens, prob.covs):
+        assert np.abs(g @ g.T - c.data).max() <= 1e-10
+        sym = res.g_hat.T @ g
+        scale = max(np.abs(sym).max(), 1.0)
+        assert np.abs(sym - sym.T).max() <= 1e-4 * scale
+        assert np.linalg.eigvalsh((sym + sym.T) / 2)[0] >= -1e-8 * scale
+
+
+def test_full_rank_family_takes_no_step(step_calls):
+    # full-rank families contract fast, so no step is tried and the result
+    # is the plain ascent's, byte for byte
+    rng = np.random.default_rng(5)
+    prob = BarycenterProblem(tuple(rand_psd(rng, 10) for _ in range(4)), (0.25,) * 4)
+    ref_greens, ref_hist, ref_sweeps = plain_ascent(prob)
+    res = solve_bcd(prob)
+    assert not step_calls
+    assert res.iterations == ref_sweeps
+    assert res.objective_history == tuple(ref_hist)
+    assert all(g.tobytes() == r.tobytes() for g, r in zip(res.greens, ref_greens))
+
+
+def test_worse_step_is_rejected(monkeypatch):
+    # a step that lowers the objective leaves the ascent exactly as without it
+    rng = np.random.default_rng(12)
+    prob = BarycenterProblem(tuple(rand_psd(rng, 20, 8) for _ in range(5)), (0.2,) * 5)
+    windows = []
+
+    def sweep_start(problem, thins, xs, rs):
+        windows.append(list(xs))
+        return list(xs[-1])  # valid factors, below the sweep that left them
+
+    monkeypatch.setattr(barycenter, "_anderson_step", sweep_start)
+    ref_greens, ref_hist, ref_sweeps = plain_ascent(prob)
+    res = solve_bcd(prob)
+    assert len(windows) > 1
+    # a rejection drops the window back to its last sweep, so the next step
+    # waits for two new sweeps
+    assert all(b[0] is a[-1] for a, b in zip(windows, windows[1:]))
+    assert res.iterations == ref_sweeps
+    assert res.objective_history == tuple(ref_hist)
+    assert all(g.tobytes() == r.tobytes() for g, r in zip(res.greens, ref_greens))
 
 
 def test_fixed_point_is_necessary_but_not_sufficient():

@@ -33,7 +33,7 @@ from bwt import (
     w2_distance,
 )
 
-from bwt import linalg
+from bwt import barycenter, linalg
 from conftest import rand_psd
 
 README_A = np.diag([4.0, 1.0, 0.0])
@@ -193,25 +193,47 @@ def test_construction_makes_one_eigvalsh(count_decomps, pair):
 
 
 def test_barycenter_ascent_makes_one_svd_per_update(count_decomps, monkeypatch):
-    # each update is one n x r SVD on the member's cached spectrum: no
-    # per-update eigh or n x n root, and no second SVD
+    # each update, and each member's projection in an Anderson step, is one
+    # n x r SVD on the member's cached spectrum: no per-update eigh or n x n
+    # root, and no second SVD
     rng = np.random.default_rng(12)
     prob = BarycenterProblem(tuple(rand_psd(rng, 20, 8) for _ in range(5)), (0.2,) * 5)
     shapes, counted_svd = [], np.linalg.svd
+    attempts, step = [], barycenter._anderson_step
 
     def svd(m, *args, **kwargs):
         shapes.append(np.shape(m))
         return counted_svd(m, *args, **kwargs)
 
+    def spy(*args):
+        attempts.append(args)
+        return step(*args)
+
     monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(barycenter, "_anderson_step", spy)
     results = []
     count_decomps(lambda: results.append(solve_bcd(prob)))
     res = results[0]
     assert res.iterations > 1
-    assert count_decomps.calls.count("svd") == prob.size * res.iterations
+    assert attempts  # this family contracts slowly enough to try steps
+    assert count_decomps.calls.count("svd") == prob.size * (res.iterations + len(attempts))
     assert set(shapes) == {(20, 8)}
     # the members' spectra and that of a_hat, all outside the sweeps
     assert count_decomps.calls.count("eigh") <= prob.size + 1
+
+
+def test_family_larger_than_the_cache_reads_each_spectrum_once(count_decomps):
+    # with more members than the decomposition cache holds, a spectrum
+    # looked up per update would be decomposed again on every update
+    k = linalg._MEMO_SIZE + 2
+    rng = np.random.default_rng(13)
+    prob = BarycenterProblem(tuple(rand_psd(rng, 10, 4) for _ in range(k)), (1.0 / k,) * k)
+    results = []
+    count_decomps(lambda: results.append(solve_bcd(prob)))
+    assert results[0].iterations > 2
+    # the members' spectra before the sweeps; a_hat's, and members'
+    # evicted since, in the Frechet variance after them
+    assert count_decomps.calls.count("eigh") <= 2 * k + 1
 
 
 def _blob(x) -> bytes:
