@@ -165,7 +165,7 @@ def _green_pair(core: _Core, param: GeodesicParam):
         raise InvalidParam("parameter block shapes do not match the pair")
 
     g = core.assemble(core.g11, 0.0, 0.0, 0.0)
-    return g, core.assemble(core.ig11 @ core.x_sqrt, 0.0, core.w21 + n12.T, m22)
+    return g, core.assemble(core.iroot[:, None] * core.x_sqrt, 0.0, core.w21 + n12.T, m22)
 
 
 def make_path(a: CovMatrix, b: CovMatrix, style: str = "extreme",

@@ -19,13 +19,15 @@ split of a pair), keeping its top :func:`numeric_rank` eigenpairs.  Matrices
 derived from a covariance or a pair (blocks, compressions, Schur
 complements) decide their own ranks.
 
-Decompositions are shared rather than repeated.  A small cache keyed by
-object identity (:func:`_memoized`) holds the last few spectra, block
-splits, pair contexts and pair results.  Every shared value is what
-a fresh computation on the same, immutable input would return, so results
-do not depend on what the cache holds.  Work on a pair is sized by the
-ranks: it goes through the n x rank spectral factors (:func:`_thin_factor`),
-not the zero-padded square ones.
+Decompositions are shared rather than repeated, through two small caches
+keyed by object identity (:func:`_memoized`): one holds the last few
+spectra, the other the block splits, pair contexts and pair results.  A
+session's pair entries therefore never push out the spectra of the
+covariances it keeps coming back to.  Every shared value is what a fresh
+computation on the same, immutable input would return, so results do not
+depend on what the caches hold.  Work on a pair is sized by the ranks: it
+goes through the n x rank spectral factors (:func:`_thin_factor`), not the
+zero-padded square ones.
 """
 
 from __future__ import annotations
@@ -41,40 +43,45 @@ from .errors import InvalidInput
 
 DEFAULT_TOL_REL = 1e-10
 
-#: Entries the decomposition cache keeps: enough for the spectra (one
-#: :class:`SpectralDecomp` per covariance), block splits, pair context and
-#: pair results of a source, a target and one point between them (eleven
-#: entries).  The spectra live here rather than on :class:`CovMatrix`, so a
-#: long family of covariances does not keep every eigenbasis alive.
+#: Entries each decomposition cache keeps.  The spectra (one
+#: :class:`SpectralDecomp` per covariance) have their own table, so they hold
+#: a pool of covariances and the points built between them; the other table
+#: holds the block splits, pair context and pair results of a source, a
+#: target and one point between them (eight entries).  The spectra are not
+#: owned by :class:`CovMatrix`: a long family of live covariances would then
+#: keep every n x n eigenbasis alive, where the bounded table keeps the last
+#: ``_MEMO_SIZE``.
 _MEMO_SIZE = 12
+_spectra: OrderedDict = OrderedDict()
 _memo: OrderedDict = OrderedDict()
 _memo_lock = threading.Lock()
 
 
-def _memoized(tag: str, objs: tuple, build):
+def _memoized(tag: str, objs: tuple, build, table: OrderedDict = _memo):
     """``build()`` for the objects ``objs``, shared while they are alive.
 
-    Entries are keyed by ``tag`` and the objects' ids and hold only weak
-    references to them, so the cache never keeps an object alive.  Entries
-    of dead objects are dropped before every lookup, which makes a reused id
-    a miss; past ``_MEMO_SIZE`` entries the least recently used goes.  The
-    objects must be immutable (a CovMatrix's data is read-only), and a
-    caller must not mutate what it gets back.
+    Entries of ``table`` (the pair table unless a caller passes
+    ``_spectra``) are keyed by ``tag`` and the objects' ids and hold only
+    weak references to them, so a cache never keeps an object alive.
+    Entries of dead objects are dropped before every lookup, which makes a
+    reused id a miss; past ``_MEMO_SIZE`` entries the least recently used
+    goes.  The objects must be immutable (a CovMatrix's data is read-only),
+    and a caller must not mutate what it gets back.
     """
     key = (tag, *map(id, objs))
     with _memo_lock:
-        for k in [k for k, (refs, _) in _memo.items() if any(r() is None for r in refs)]:
-            del _memo[k]
-        hit = _memo.get(key)
+        for k in [k for k, (refs, _) in table.items() if any(r() is None for r in refs)]:
+            del table[k]
+        hit = table.get(key)
         if hit is not None:
-            _memo.move_to_end(key)
+            table.move_to_end(key)
             return hit[1]
     value = build()
     with _memo_lock:
-        _memo[key] = (tuple(map(weakref.ref, objs)), value)
-        _memo.move_to_end(key)
-        while len(_memo) > _MEMO_SIZE:
-            _memo.popitem(last=False)
+        table[key] = (tuple(map(weakref.ref, objs)), value)
+        table.move_to_end(key)
+        while len(table) > _MEMO_SIZE:
+            table.popitem(last=False)
     return value
 
 
@@ -227,8 +234,8 @@ def spectral_decompose(a: CovMatrix) -> SpectralDecomp:
     first component of largest absolute value is positive, which pins the
     basis down to a reproducible choice.  This is the one decomposition of a
     covariance: it is computed once (one ``eigh``) and shared through the
-    decomposition cache, so every call on ``a`` returns the same object, and
-    its arrays are read-only.
+    spectra's cache, so every call on ``a`` returns the same object, and its
+    arrays are read-only.
     """
 
     def build():
@@ -238,7 +245,7 @@ def spectral_decompose(a: CovMatrix) -> SpectralDecomp:
         u.flags.writeable = False
         return SpectralDecomp(eigvals=w, eigvecs=u, rank=numeric_rank(a))
 
-    return _memoized("eigh", (a,), build)
+    return _memoized("eigh", (a,), build, _spectra)
 
 
 def _live_eigs(a: CovMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -86,20 +86,23 @@ def block_decompose(a: CovMatrix, b) -> BlockView:
 
     ``b`` may be any symmetric matrix of matching size; PSD is not required
     at this level (only :func:`schur_complement` needs it).  The split of a
-    covariance ``b`` is built once and shared while a and b live.
+    covariance ``b`` is built once and shared while a and b live; its data
+    is already symmetric, so only a raw array is checked and symmetrized.
     """
-    if isinstance(b, CovMatrix):
-        return _memoized("blocks", (a, b), lambda: _split(a, b.data))
-    return _split(a, np.asarray(b, dtype=float))
-
-
-def _split(a: CovMatrix, b_mat: np.ndarray) -> BlockView:
+    b_mat = b.data if isinstance(b, CovMatrix) else np.asarray(b, dtype=float)
     if b_mat.shape != (a.n, a.n):
         raise InvalidInput(f"expected a {a.n}x{a.n} matrix, got shape {b_mat.shape}")
+    if isinstance(b, CovMatrix):
+        return _memoized("blocks", (a, b), lambda: _split(a, b_mat))
     scale = np.linalg.norm(b_mat)
     if np.abs(b_mat - b_mat.T).max() > a.tol_rel * max(scale, 1e-300):
         raise InvalidInput("b is asymmetric beyond tolerance")
-    b_mat = _sym(b_mat)
+    return _split(a, _sym(b_mat))
+
+
+def _split(a: CovMatrix, b_mat: np.ndarray) -> BlockView:
+    """The blocks of ``b_mat``, square and exactly symmetric, along a's
+    range/null split."""
     dec = spectral_decompose(a)
     q1 = dec.eigvecs[:, : dec.rank]
     q2 = dec.eigvecs[:, dec.rank :]

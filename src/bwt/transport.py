@@ -112,7 +112,10 @@ class _Core:
     """Shared block data for the map constructions: the range/null split of a,
     the factor g11 = diag(sqrt(lambda_r)) of a11 from a's cached spectrum, the
     compressed matrix x = g11 b11 g11 with its spectral functions, and the
-    Schur complement via the x-route.
+    Schur complement via the x-route.  g11 and its inverse are kept as their
+    diagonals ``root`` and ``iroot`` and applied as row and column scalings,
+    in the order the products with the dense diagonals took, so every
+    result rounds as theirs did.
 
     One context serves every construction on the pair (get it from
     :func:`_core`).  It holds no reference to a or b, and no array in it is
@@ -127,8 +130,8 @@ class _Core:
 
         # a11 is diag(lambda_r) in a's eigenbasis q1, so its factor and the
         # inverse come from a's spectrum, at a's own rank
-        root = np.sqrt(_live_eigs(a)[0])
-        self.g11, self.ig11 = np.diag(root), np.diag(1.0 / root)
+        self.root = np.sqrt(_live_eigs(a)[0])
+        self.iroot = 1.0 / self.root
 
         # Every spectral cut below is anchored to the pair's scale rather than
         # the derived matrix's own top eigenvalue, so a block that is pure
@@ -137,14 +140,14 @@ class _Core:
         self.lam_a = a.lam_max
         self.lam_b = b.lam_max
 
-        x = _sym(self.g11 @ self.bv.b11 @ self.g11)
+        x = _sym(self.root[:, None] * self.bv.b11 * self.root)
         self._x_eigvals, self._x_eigvecs = np.linalg.eigh(x)
         self._x_live = _live(self._x_eigvals, self.tol * self.lam_a * self.lam_b)
         self.x_sqrt = self._x_pow(0.5)
         self.x_pinv_sqrt = self._x_pow(-0.5)
 
         # b21 g11 x^(-1/2): the determined part of the lower-left block
-        self.w21 = self.bv.b21 @ self.g11 @ self.x_pinv_sqrt
+        self.w21 = (self.bv.b21 * self.root) @ self.x_pinv_sqrt
         self.schur = _sym(self.bv.b22 - self.w21 @ self.w21.T)
         if self.n2:
             sw, su = np.linalg.eigh(self.schur)
@@ -154,6 +157,16 @@ class _Core:
         self._schur_live = _live(sw, self.tol * self.lam_b)
         self.schur_rank = _rank(sw, self.tol * self.lam_b)
         self.schur_sqrt = _psd_from_eigh(sw, su, np.sqrt, self._schur_live)
+
+    @property
+    def g11(self) -> np.ndarray:
+        """diag(root) as a dense r x r block, built on each read."""
+        return np.diag(self.root)
+
+    @property
+    def ig11(self) -> np.ndarray:
+        """The inverse of :attr:`g11`, diag(iroot), built on each read."""
+        return np.diag(self.iroot)
 
     def _x_pow(self, p: float) -> np.ndarray:
         """x^p on the live spectrum.  x scales as the square of the pair, so
@@ -171,14 +184,14 @@ class _Core:
 
     def t11(self) -> np.ndarray:
         """g11^(-1) x^(1/2) g11^(-1): the range block of every optimal map."""
-        return _sym(self.ig11 @ self.x_sqrt @ self.ig11)
+        return _sym(self.iroot[:, None] * self.x_sqrt * self.iroot)
 
     def spd_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """The blocks t12 and t22 of the canonical symmetric PSD map."""
-        t12 = self.ig11 @ self.x_pinv_sqrt @ self.g11 @ self.bv.b12
+        t12 = (self.iroot[:, None] * self.x_pinv_sqrt * self.root) @ self.bv.b12
         if not self.n2:  # no null block, and no x^(-1.5) to overflow
             return t12, np.zeros((0, 0))
-        t22 = self.bv.b21 @ self.g11 @ self._x_pow(-1.5) @ self.g11 @ self.bv.b12
+        t22 = ((self.bv.b21 * self.root) @ self._x_pow(-1.5) * self.root) @ self.bv.b12
         return t12, t22
 
     def assemble(self, t11, t12, t21, t22) -> np.ndarray:
@@ -193,7 +206,7 @@ class _Core:
     @functools.cached_property
     def k(self) -> np.ndarray:
         """b11^(1/2) g11, whose null space must hold the range of u12 / n12."""
-        return _psd_apply(self.bv.b11, "sqrt", self.tol) @ self.g11
+        return _psd_apply(self.bv.b11, "sqrt", self.tol) * self.root
 
     def check_in_null(self, m: np.ndarray, name: str, tol_map: float) -> None:
         """Raise InvalidParam unless the range of ``m`` lies in null(k)."""
@@ -354,7 +367,7 @@ def _ot_map(core: _Core, a: CovMatrix, b: CovMatrix, u12_policy: str, u12,
         raise InvalidParam(f"unknown u12 policy {u12_policy!r}")
 
     t11 = core.t11()
-    t21 = (core.w21 + core.schur_sqrt @ u12_blk.T) @ core.ig11
+    t21 = (core.w21 + core.schur_sqrt @ u12_blk.T) * core.iroot
 
     if free_policy == "symmetric_zero":
         t12 = t21.T

@@ -9,6 +9,7 @@ a change may lower them, never raise them.
 """
 
 import gc
+import itertools
 import sys
 import threading
 import weakref
@@ -23,6 +24,7 @@ from bwt import (
     canonical_spd_map,
     classify_point,
     make_path,
+    numeric_rank,
     ot_map,
     psd_function,
     schur_complement,
@@ -178,8 +180,9 @@ def test_spectral_decompose_is_shared_and_read_only():
 
 @pytest.mark.parametrize("pair", ["n30", "full"])
 def test_twelve_cache_entries_hold_a_session(count_decomps, monkeypatch, pair):
-    # an unbounded cache saves nothing more: a session's spectra, splits,
-    # contexts and results all fit in the bounded one
+    # unbounded caches save nothing more: a session's three spectra fit in
+    # the spectra's table, and its splits, contexts and results (eight
+    # entries) in the pair table
     bounded = count_decomps(_session, *_fresh(pair)), list(count_decomps.calls)
     monkeypatch.setattr(linalg, "_MEMO_SIZE", 10**6)
     assert (count_decomps(_session, *_fresh(pair)), count_decomps.calls) == bounded
@@ -222,18 +225,64 @@ def test_barycenter_ascent_makes_one_svd_per_update(count_decomps, monkeypatch):
     assert count_decomps.calls.count("eigh") <= prob.size + 1
 
 
-def test_family_larger_than_the_cache_reads_each_spectrum_once(count_decomps):
-    # with more members than the decomposition cache holds, a spectrum
-    # looked up per update would be decomposed again on every update
-    k = linalg._MEMO_SIZE + 2
+def _family_eighs(count_decomps, k: int) -> int:
+    """The ``eigh`` calls of one ``solve_bcd`` on a fresh seeded family of
+    ``k`` members."""
     rng = np.random.default_rng(13)
     prob = BarycenterProblem(tuple(rand_psd(rng, 10, 4) for _ in range(k)), (1.0 / k,) * k)
     results = []
     count_decomps(lambda: results.append(solve_bcd(prob)))
     assert results[0].iterations > 2
+    return count_decomps.calls.count("eigh")
+
+
+def test_family_larger_than_the_cache_reads_each_spectrum_once(count_decomps):
+    # with more members than the spectra's cache holds, a spectrum looked
+    # up per update would be decomposed again on every update
+    k = linalg._MEMO_SIZE + 2
     # the members' spectra before the sweeps; a_hat's, and members'
     # evicted since, in the Frechet variance after them
-    assert count_decomps.calls.count("eigh") <= 2 * k + 1
+    assert _family_eighs(count_decomps, k) <= 2 * k + 1
+
+
+@pytest.mark.parametrize("k", [linalg._MEMO_SIZE - 2, linalg._MEMO_SIZE - 1])
+def test_family_within_the_cache_decomposes_each_spectrum_once(count_decomps, k):
+    # the members' spectra before the sweeps and a_hat's after them: pair
+    # entries evict no spectrum, so while a_hat and the members fit in the
+    # spectra's cache the Frechet variance decomposes nothing more
+    assert _family_eighs(count_decomps, k) == k + 1
+
+
+def test_pool_sessions_decompose_each_covariance_once(count_decomps):
+    # every ordered-pair session over a pool of eight covariances: the pair
+    # entries each session caches do not push the pool's spectra out
+    rng = np.random.default_rng(16)
+    pool = [rand_psd(rng, 20, r) for r in (20, 14, 20, 8, 17, 20, 11, 5)]
+
+    def sessions():
+        for a, b in itertools.permutations(pool, 2):
+            style = "extreme" if numeric_rank(a) >= numeric_rank(b) else "zero"
+            for fn in (w2_distance, spd_reachability, schur_complement,
+                       lambda a, b: make_path(a, b, style).gamma(0.5)):
+                try:
+                    fn(a, b)
+                except BwtError:
+                    pass
+
+    count_decomps(sessions)
+    decomposed = [i for name, m in zip(count_decomps.calls, count_decomps.inputs)
+                  if name == "eigh" for i, c in enumerate(pool) if m is c.data]
+    assert sorted(decomposed) == list(range(len(pool)))
+
+
+def test_spectra_cache_is_bounded():
+    # the spectra are the cache's, not the covariances': forty live
+    # covariances keep at most the last _MEMO_SIZE eigenbases alive
+    rng = np.random.default_rng(17)
+    covs = [rand_psd(rng, 10, 6) for _ in range(40)]
+    refs = [weakref.ref(spectral_decompose(c)) for c in covs]
+    gc.collect()
+    assert sum(r() is not None for r in refs) <= linalg._MEMO_SIZE
 
 
 def _blob(x) -> bytes:
