@@ -31,9 +31,10 @@ from .linalg import (
     _psd_apply,
     _sym,
     _thin_factor,
+    _trace_fidelity,
     psd_function,
 )
-from .transport import w2_distance
+from .transport import _w2_from_fidelity, w2_distance
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -119,6 +120,15 @@ def frechet_variance(problem: BarycenterProblem, a_hat: CovMatrix) -> float:
     )
 
 
+def _frechet_variance(problem: BarycenterProblem, a_hat: CovMatrix, thins) -> float:
+    """:func:`frechet_variance` from the members' thin factors ``thins``, so
+    that a family larger than the spectra's cache is not decomposed again."""
+    return float(
+        sum(w * _w2_from_fidelity(a_hat, c, _trace_fidelity(a_hat, c, f)) ** 2
+            for w, c, f in zip(problem.weights, problem.covs, thins))
+    )
+
+
 def fixed_point_residual(problem: BarycenterProblem, a_hat: CovMatrix) -> float:
     """Frobenius residual of the barycenter fixed-point equation.
 
@@ -141,9 +151,11 @@ def _mean_factor(problem: BarycenterProblem, greens) -> np.ndarray:
     return g_hat
 
 
-def _result_from_greens(problem, greens, iterations, converged, history=None) -> BarycenterResult:
+def _result_from_greens(problem, greens, iterations, converged, history=None,
+                        thins=None) -> BarycenterResult:
     """The result for final factors ``greens``; without a ``history`` (a
-    closed form) the history is the final objective alone."""
+    closed form) the history is the final objective alone.  ``thins``, when
+    given, are the members' thin factors."""
     g_hat = _mean_factor(problem, greens)
     a_hat = CovMatrix(g_hat @ g_hat.T, tol_rel=max(c.tol_rel for c in problem.covs))
     objective = float(np.linalg.norm(g_hat) ** 2)
@@ -152,7 +164,8 @@ def _result_from_greens(problem, greens, iterations, converged, history=None) ->
         greens=tuple(np.array(g) for g in greens),
         g_hat=g_hat,
         objective=objective,
-        frechet_variance=frechet_variance(problem, a_hat),
+        frechet_variance=(frechet_variance(problem, a_hat) if thins is None
+                          else _frechet_variance(problem, a_hat, thins)),
         iterations=iterations,
         converged=converged,
         objective_history=(objective,) if history is None else tuple(history),
@@ -260,7 +273,7 @@ def solve_bcd(
         else:
             del xs[:-1], rs[:-1]
 
-    return _result_from_greens(problem, greens, sweeps, converged, history)
+    return _result_from_greens(problem, greens, sweeps, converged, history, thins)
 
 
 def _anderson_step(problem, thins, xs, rs):

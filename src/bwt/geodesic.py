@@ -164,7 +164,8 @@ def _green_pair(core: _Core, param: GeodesicParam):
     if n12.shape != (core.r, core.n2) or m22.shape != (core.n2, core.n2):
         raise InvalidParam("parameter block shapes do not match the pair")
 
-    g = core.assemble(core.g11, 0.0, 0.0, 0.0)
+    q1 = core.bv.q1
+    g = (q1 * core.root) @ q1.T  # the factor g11 on range(a), zero on null(a)
     return g, core.assemble(core.iroot[:, None] * core.x_sqrt, 0.0, core.w21 + n12.T, m22)
 
 

@@ -62,22 +62,24 @@ def _memoized(tag: str, objs: tuple, build, table: OrderedDict = _memo):
 
     Entries of ``table`` (the pair table unless a caller passes
     ``_spectra``) are keyed by ``tag`` and the objects' ids and hold only
-    weak references to them, so a cache never keeps an object alive.
-    Entries of dead objects are dropped before every lookup, which makes a
-    reused id a miss; past ``_MEMO_SIZE`` entries the least recently used
-    goes.  The objects must be immutable (a CovMatrix's data is read-only),
-    and a caller must not mutate what it gets back.
+    weak references to them, so a cache never keeps an object alive.  A
+    lookup checks the weak references of the entry it finds: an entry whose
+    object died is a miss, even when a new object reuses the id.  Entries of
+    dead objects are dropped when an entry is inserted, and past
+    ``_MEMO_SIZE`` entries the least recently used goes.  The objects must
+    be immutable (a CovMatrix's data is read-only), and a caller must not
+    mutate what it gets back.
     """
     key = (tag, *map(id, objs))
     with _memo_lock:
-        for k in [k for k, (refs, _) in table.items() if any(r() is None for r in refs)]:
-            del table[k]
         hit = table.get(key)
-        if hit is not None:
+        if hit is not None and all(r() is not None for r in hit[0]):
             table.move_to_end(key)
             return hit[1]
     value = build()
     with _memo_lock:
+        for k in [k for k, (refs, _) in table.items() if any(r() is None for r in refs)]:
+            del table[k]
         table[key] = (tuple(map(weakref.ref, objs)), value)
         table.move_to_end(key)
         while len(table) > _MEMO_SIZE:
@@ -86,7 +88,10 @@ def _memoized(tag: str, objs: tuple, build, table: OrderedDict = _memo):
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    """(m + m.T) / 2, in one temporary: halving by 0.5 rounds as by 2."""
+    out = m + m.T
+    out *= 0.5
+    return out
 
 
 def _live(w: np.ndarray, cut: float) -> np.ndarray:
@@ -387,15 +392,24 @@ def trace_fidelity(a: CovMatrix, b: CovMatrix) -> float:
     The two arguments are evaluated in a canonical order so the symmetry holds
     exactly in floating point.
     """
+    return _trace_fidelity(a, b)
+
+
+def _trace_fidelity(a: CovMatrix, b: CovMatrix, f_b: np.ndarray | None = None) -> float:
+    """:func:`trace_fidelity`, for a caller that may hold ``f_b =
+    _thin_factor(b)``: the fidelity then reads it instead of b's spectrum."""
     _check_pair(a, b)
+    f_a = None
     if a.data.tobytes() > b.data.tobytes():
-        a, b = b, a
-    return _memoized("fidelity", (a, b), lambda: _fidelity(a, b))
+        a, b, f_a = b, a, f_b
+    return _memoized("fidelity", (a, b), lambda: _fidelity(a, b, f_a))
 
 
-def _fidelity(a: CovMatrix, b: CovMatrix) -> float:
+def _fidelity(a: CovMatrix, b: CovMatrix, f: np.ndarray | None = None) -> float:
+    """The fidelity from ``f = _thin_factor(a)``, looked up unless given."""
     # f.T b f is rank(a) x rank(a): the square factor only pads it with zeros
-    f = _thin_factor(a)
+    if f is None:
+        f = _thin_factor(a)
     w = np.linalg.eigvalsh(_sym(f.T @ b.data @ f))
     # Eigenvalues of f.T b f below the pair's noise floor are dropped before
     # the square root: sqrt amplifies an O(eps)-sized eigenvalue to O(

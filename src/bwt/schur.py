@@ -48,10 +48,13 @@ PATH_TOL = 1e-7
 class BlockView:
     """Coordinates of b split along range(a) and null(a).
 
-    q1 and q2 are orthonormal bases of range(a) and null(a); a11 = q1.T a q1 is
-    positive definite by construction, and b11, b12, b21, b22 are the blocks of
-    b in the combined basis [q1 q2].  A view may be shared between callers, so
-    its arrays are read-only.
+    q1 and q2 are orthonormal bases of range(a) and null(a), the leading and
+    trailing eigenvectors of a's spectrum.  a11 = q1.T a q1 is
+    diag(lambda_r), a's eigenvalues above its rank cut, read from that
+    spectrum rather than multiplied out, so it is positive definite and
+    exactly diagonal.  b11, b12, b21, b22 are the blocks of b in the
+    combined basis [q1 q2].  A view may be shared between callers, so its
+    arrays are read-only.
     """
 
     q1: np.ndarray
@@ -106,14 +109,15 @@ def _split(a: CovMatrix, b_mat: np.ndarray) -> BlockView:
     dec = spectral_decompose(a)
     q1 = dec.eigvecs[:, : dec.rank]
     q2 = dec.eigvecs[:, dec.rank :]
+    l1, l2 = q1.T @ b_mat, q2.T @ b_mat
     bv = BlockView(
         q1=q1,
         q2=q2,
-        a11=_sym(q1.T @ a.data @ q1),
-        b11=_sym(q1.T @ b_mat @ q1),
-        b12=q1.T @ b_mat @ q2,
-        b21=q2.T @ b_mat @ q1,
-        b22=_sym(q2.T @ b_mat @ q2),
+        a11=np.diag(dec.eigvals[: dec.rank]),
+        b11=_sym(l1 @ q1),
+        b12=l1 @ q2,
+        b21=l2 @ q1,
+        b22=_sym(l2 @ q2),
     )
     for m in vars(bv).values():
         m.flags.writeable = False

@@ -23,6 +23,7 @@ from bwt import (
     CovMatrix,
     canonical_spd_map,
     classify_point,
+    frechet_variance,
     make_path,
     numeric_rank,
     ot_map,
@@ -227,22 +228,27 @@ def test_barycenter_ascent_makes_one_svd_per_update(count_decomps, monkeypatch):
 
 def _family_eighs(count_decomps, k: int) -> int:
     """The ``eigh`` calls of one ``solve_bcd`` on a fresh seeded family of
-    ``k`` members."""
+    ``k`` members; its Frechet variance is that of the public function."""
     rng = np.random.default_rng(13)
     prob = BarycenterProblem(tuple(rand_psd(rng, 10, 4) for _ in range(k)), (1.0 / k,) * k)
     results = []
     count_decomps(lambda: results.append(solve_bcd(prob)))
-    assert results[0].iterations > 2
-    return count_decomps.calls.count("eigh")
+    eighs = count_decomps.calls.count("eigh")
+    res = results[0]
+    assert res.iterations > 2
+    assert (np.float64(res.frechet_variance).tobytes()
+            == np.float64(frechet_variance(prob, res.a_hat)).tobytes())
+    return eighs
 
 
 def test_family_larger_than_the_cache_reads_each_spectrum_once(count_decomps):
     # with more members than the spectra's cache holds, a spectrum looked
-    # up per update would be decomposed again on every update
+    # up per update would be decomposed again on every update, and one
+    # looked up for the Frechet variance after the sweeps again there
     k = linalg._MEMO_SIZE + 2
-    # the members' spectra before the sweeps; a_hat's, and members'
-    # evicted since, in the Frechet variance after them
-    assert _family_eighs(count_decomps, k) <= 2 * k + 1
+    # the members' spectra before the sweeps, a_hat's after them: the
+    # Frechet variance reads the members' thin factors the sweeps used
+    assert _family_eighs(count_decomps, k) == k + 1
 
 
 @pytest.mark.parametrize("k", [linalg._MEMO_SIZE - 2, linalg._MEMO_SIZE - 1])
@@ -273,6 +279,17 @@ def test_pool_sessions_decompose_each_covariance_once(count_decomps):
     decomposed = [i for name, m in zip(count_decomps.calls, count_decomps.inputs)
                   if name == "eigh" for i, c in enumerate(pool) if m is c.data]
     assert sorted(decomposed) == list(range(len(pool)))
+
+
+def test_pair_with_no_spd_map_makes_no_square_eigvalsh(count_decomps):
+    # criterion 1 measures its candidate's residual in a's eigenbasis; a
+    # candidate that fails there is neither assembled nor decomposed
+    rng = np.random.default_rng(32)
+    a, b = rand_psd(rng, 30, 20), rand_psd(rng, 30, 25)
+    reports = []
+    count_decomps(lambda: reports.append(spd_reachability(a, b)))
+    assert not reports[0].spd_exists
+    assert ("eigvalsh", (30, 30)) not in zip(count_decomps.calls, count_decomps.shapes)
 
 
 def test_spectra_cache_is_bounded():

@@ -14,6 +14,7 @@ from bwt import (
     spectral_decompose,
     trace_fidelity,
 )
+from bwt.linalg import _sym
 from bwt.transport import _core
 from conftest import rand_psd, rand_rank
 
@@ -53,6 +54,15 @@ def test_cov_matrix_symmetrizes_and_clamps_small_noise():
     assert np.linalg.eigvalsh(c.data)[0] >= -1e-16
     assert c.trace() == pytest.approx(3.0, abs=1e-12)
     assert c.n == 3
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_sym_is_the_halved_sum_bit_for_bit(scale):
+    # _sym halves in place by 0.5; it must round exactly as (m + m.T) / 2
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 7, 40):
+        m = scale * rng.standard_normal((n, n))
+        assert _sym(m).tobytes() == ((m + m.T) / 2).tobytes()
 
 
 def test_construction_is_idempotent():

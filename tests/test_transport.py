@@ -24,6 +24,7 @@ from bwt import (
     trace_fidelity,
     w2_distance,
 )
+from bwt.transport import DEFAULT_TOL_MAP, _core
 from conftest import rand_psd, rand_reachable_pair
 
 A3 = CovMatrix(np.diag([4.0, 1.0, 0.0]))
@@ -231,6 +232,49 @@ def test_spd_reachability_consistent_on_seeded_pairs():
         assert (rep.witness is not None) == rep.spd_exists
         seen[rep.spd_exists] += 1
     # the generator must exercise both outcomes
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def _old_criterion_one(a, b, tol_map=DEFAULT_TOL_MAP):
+    """Criterion 1 of spd_reachability tested in ambient coordinates only:
+    the candidate assembled through [q1 q2], its transport residual and its
+    least eigenvalue.  Returns the flag, the candidate and its residual."""
+    core = _core(a, b)
+    t11 = core.t11()
+    t12, t22 = core.spd_blocks()
+    r = core.r
+    blk = np.zeros((a.n, a.n))
+    blk[:r, :r], blk[:r, r:], blk[r:, :r], blk[r:, r:] = t11, t12, t12.T, t22
+    q = np.hstack([core.bv.q1, core.bv.q2])
+    cand = q @ blk @ q.T
+    res_t = float(np.linalg.norm(cand @ a.data @ cand.T - b.data))
+    eig_min = float(np.linalg.eigvalsh((cand + cand.T) / 2)[0])
+    cand_scale = max(float(np.abs(cand).max()), 1.0)
+    tol_abs = tol_map * (1.0 + float(np.linalg.norm(b.data)))
+    return res_t <= tol_abs and eig_min >= -tol_map * cand_scale, cand, res_t
+
+
+def test_criterion_one_in_the_eigenbasis_matches_the_ambient_test():
+    # the eigenbasis residual only screens: the flag, the witness and its
+    # residual are those of the ambient candidate, byte for byte
+    rng = np.random.default_rng(27)
+    seen = {True: 0, False: 0}
+    for k in range(60):
+        n = int(rng.integers(2, 12))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        if k % 2:
+            a, b = spd_pair(rng, n)
+        else:
+            a = rand_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+            b = rand_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+        a, b = CovMatrix(scale * a.data), CovMatrix(b.data / scale)
+        rep = spd_reachability(a, b)
+        flag, cand, res_t = _old_criterion_one(a, b)
+        assert rep.spd_exists == flag
+        if flag:
+            assert rep.witness.t.tobytes() == cand.tobytes()
+            assert rep.witness.residual_transport == res_t
+        seen[flag] += 1
     assert seen[True] > 0 and seen[False] > 0
 
 
