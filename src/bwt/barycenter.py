@@ -34,7 +34,7 @@ from .linalg import (
     _trace_fidelity,
     psd_function,
 )
-from .transport import _w2_from_fidelity, w2_distance
+from .transport import _w2_from_fidelity
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -115,14 +115,13 @@ def _haar_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def frechet_variance(problem: BarycenterProblem, a_hat: CovMatrix) -> float:
     """The weighted sum of squared distances from a candidate barycenter."""
-    return float(
-        sum(w * w2_distance(a_hat, c) ** 2 for w, c in zip(problem.weights, problem.covs))
-    )
+    return _frechet_variance(problem, a_hat, (None,) * problem.size)
 
 
 def _frechet_variance(problem: BarycenterProblem, a_hat: CovMatrix, thins) -> float:
-    """:func:`frechet_variance` from the members' thin factors ``thins``, so
-    that a family larger than the spectra's cache is not decomposed again."""
+    """:func:`frechet_variance`; a member whose thin factor is given in
+    ``thins`` (``None`` where not) reads it instead of its spectrum, so that a
+    family larger than the spectra's cache is not decomposed again."""
     return float(
         sum(w * _w2_from_fidelity(a_hat, c, _trace_fidelity(a_hat, c, f)) ** 2
             for w, c, f in zip(problem.weights, problem.covs, thins))
@@ -164,8 +163,7 @@ def _result_from_greens(problem, greens, iterations, converged, history=None,
         greens=tuple(np.array(g) for g in greens),
         g_hat=g_hat,
         objective=objective,
-        frechet_variance=(frechet_variance(problem, a_hat) if thins is None
-                          else _frechet_variance(problem, a_hat, thins)),
+        frechet_variance=_frechet_variance(problem, a_hat, thins or (None,) * problem.size),
         iterations=iterations,
         converged=converged,
         objective_history=(objective,) if history is None else tuple(history),

@@ -423,6 +423,39 @@ def canonical_spd_map(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_M
     return _ot_map(core, a, b, "deterministic", None, "spd_canonical", tol_map)
 
 
+def _criterion_one(core: _Core, a: CovMatrix, b: CovMatrix, tol_map: float, tol_abs: float):
+    """Criterion 1 of :func:`spd_reachability`: the canonical candidate with
+    its blocks t11 and t12 and its transport residual, or None when it is not
+    a PSD transport map within ``tol_abs``.
+
+    The residual is first measured in a's eigenbasis q, where a is
+    diag(lambda) and q.T b q is the pair's block view: one n x n product.
+    That residual and the ambient one carry rounding of the same size, about
+    n eps (lambda_max ||blk||^2 + ||b||) per product, and either may be the
+    larger, so the screen rejects only a candidate that fails by more than
+    four times that, a bound on their difference.  Every other candidate is
+    assembled in ambient coordinates, where its residual and least
+    eigenvalue decide.
+    """
+    t11 = core.t11()
+    t12, t22 = core.spd_blocks()
+    blk = core.blocks(t11, t12, t12.T, t22)
+    bv = core.bv
+    b_q = np.block([[bv.b11, bv.b12], [bv.b21, bv.b22]])
+    res_q = float(np.linalg.norm((blk * core.lam) @ blk.T - b_q))
+    rounding = 4.0 * core.n * np.finfo(float).eps * (
+        core.lam_a * float(np.linalg.norm(blk)) ** 2 + float(np.linalg.norm(b.data)))
+    if res_q > tol_abs + rounding:
+        return None
+    cand = core.q @ blk @ core.q.T
+    res_t = _transport_residual(cand, a, b)
+    eig_min = float(np.linalg.eigvalsh(_sym(cand))[0])
+    cand_scale = max(float(np.abs(cand).max()), 1.0)
+    if res_t <= tol_abs and eig_min >= -tol_map * cand_scale:
+        return cand, t11, t12, res_t
+    return None
+
+
 def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MAP) -> SpdReachReport:
     """Evaluate the five equivalent criteria for a symmetric PSD optimal map.
 
@@ -441,29 +474,18 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     criterion 1's candidate.  Criterion 1 first measures the candidate's
     transport residual in a's eigenbasis q, where a is diag(lambda) and
     q.T b q is the pair's :class:`~bwt.schur.BlockView`: one n x n product.
-    A candidate that fails there fails the criterion, and is neither
-    assembled nor decomposed at n x n.  One that passes is assembled in
-    ambient coordinates, where its transport residual and least eigenvalue
-    decide the criterion, and it becomes the witness with that residual.
+    A candidate that fails there by more than the residuals' rounding fails
+    the criterion, and is neither assembled nor decomposed at n x n.  Any
+    other is assembled in ambient coordinates, where its transport residual
+    and least eigenvalue decide the criterion, and it becomes the witness
+    with that residual.
     """
     core = _core(a, b)
     tol_abs = _tol_bound(tol_map, b.data)
 
-    # 1. construct the canonical candidate unconditionally and test it.  Its
-    # residual in a's eigenbasis equals the ambient one only up to roundoff,
-    # so it just screens: the ambient candidate decides and is reported
-    t11 = core.t11()
-    t12, t22 = core.spd_blocks()
-    blk = core.blocks(t11, t12, t12.T, t22)
-    bv = core.bv
-    b_q = np.block([[bv.b11, bv.b12], [bv.b21, bv.b22]])
-    spd_exists = False
-    if np.linalg.norm((blk * core.lam) @ blk.T - b_q) <= tol_abs:
-        cand = core.q @ blk @ core.q.T
-        res_t = _transport_residual(cand, a, b)
-        eig_min = float(np.linalg.eigvalsh(_sym(cand))[0])
-        cand_scale = max(float(np.abs(cand).max()), 1.0)
-        spd_exists = res_t <= tol_abs and eig_min >= -tol_map * cand_scale
+    # 1. construct the canonical candidate unconditionally and test it
+    found = _criterion_one(core, a, b, tol_map, tol_abs)
+    spd_exists = found is not None
 
     # 2. rank of the Schur complement (via the x-route spectrum)
     as_unique = core.schur_rank == 0
@@ -499,8 +521,11 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
 
     # the witness is criterion 1's candidate: with the Schur complement zero,
     # its u12 is zero and t21 = t12.T
-    witness = _checked_map(a, b, cand, t11, t12.T, np.zeros((core.r, core.n2)),
-                           "spd_canonical", tol_map, res_t) if spd_exists else None
+    witness = None
+    if spd_exists:
+        cand, t11, t12, res_t = found
+        witness = _checked_map(a, b, cand, t11, t12.T, np.zeros((core.r, core.n2)),
+                               "spd_canonical", tol_map, res_t)
     return SpdReachReport(
         spd_exists=spd_exists,
         as_unique=as_unique,

@@ -102,7 +102,8 @@ def test_one_rank_per_covariance():
 
 def test_pair_context_factors_a11_at_the_split_rank():
     # g11 comes from a's own spectrum, so near the cut it keeps every
-    # direction the range/null split keeps, and it factors a11
+    # direction the range/null split keeps, and it factors q1.T a q1
+    # multiplied out, not only the a11 the split reads from that spectrum
     rng = np.random.default_rng(1)
     for _ in range(400):
         a = _near_cut(rng)
@@ -110,7 +111,8 @@ def test_pair_context_factors_a11_at_the_split_rank():
         assert core.r == numeric_rank(a)
         assert np.linalg.matrix_rank(core.g11) == core.r
         assert np.abs(core.g11 @ core.ig11 - np.eye(core.r)).max() <= 1e-12
-        assert np.abs(core.g11 @ core.g11 - core.bv.a11).max() <= 1e-12
+        q1 = core.bv.q1
+        assert np.abs(core.g11 @ core.g11 - q1.T @ a.data @ q1).max() <= 1e-12
 
 
 def test_spectral_decompose_descending_rank_and_reconstruction():
