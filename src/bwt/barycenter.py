@@ -47,6 +47,15 @@ ORTHO_TOL_FACTOR = 10.0
 _ANDERSON_DEPTH = 2
 
 
+def _check_weights(weights, label: str) -> None:
+    """Raise InvalidInput unless the ``label`` weights are finite, strictly
+    positive and sum to 1."""
+    if not all(0.0 < w < np.inf for w in weights):
+        raise InvalidInput(f"{label} must be finite and strictly positive, got {weights!r}")
+    if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
+        raise InvalidInput(f"{label} must sum to 1, got {sum(weights)!r}")
+
+
 @dataclass(frozen=True)
 class BarycenterProblem:
     """A weighted family of PSD covariances of common dimension."""
@@ -67,10 +76,7 @@ class BarycenterProblem:
                 raise InvalidInput("covariances must be CovMatrix instances")
             if c.n != n:
                 raise InvalidInput("covariances must share one dimension")
-        if not all(0.0 < w < np.inf for w in weights):
-            raise InvalidInput(f"weights must be finite and strictly positive, got {weights!r}")
-        if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise InvalidInput(f"weights must sum to 1, got {sum(weights)!r}")
+        _check_weights(weights, "weights")
         object.__setattr__(self, "covs", covs)
         object.__setattr__(self, "weights", weights)
 
@@ -384,10 +390,7 @@ def hierarchical_closed_form(
         raise InvalidInput("need at least one group")
     if len(groups) != len(outer):
         raise InvalidInput(f"{len(groups)} groups but {len(outer)} outer weights")
-    if not all(0.0 < q < np.inf for q in outer):
-        raise InvalidInput(f"outer weights must be finite and strictly positive, got {outer!r}")
-    if abs(sum(outer) - 1.0) > WEIGHT_SUM_TOL:
-        raise InvalidInput(f"outer weights must sum to 1, got {sum(outer)!r}")
+    _check_weights(outer, "outer weights")
     n = groups[0].n
     if any(g.n != n for g in groups):
         raise InvalidInput("groups must share one dimension")

@@ -294,7 +294,8 @@ def cmd_geodesic(args) -> int:
     print("t        rank  w2_from_a            w2_to_b              kind")
     for t in args.t:
         gamma = path.gamma(t)
-        cls, d1, d2 = geo._classify(a, b, gamma, t, d)
+        cls = geo.classify_point(a, b, gamma, t)
+        d1, d2 = w2_distance(a, gamma), w2_distance(gamma, b)
         fname = f"{args.out_prefix}_t{_t_tag(t)}.json"
         write_matrix(fname, gamma.data)
         samples.append(
@@ -409,8 +410,6 @@ def cmd_gp(args) -> int:
     rows = []
     print("n  m  points  analytic             numeric              |gap|                cross_gram")
     for num in sizes:
-        if num < 1:
-            raise InvalidParam(f"grid size must be positive, got {num}")
         analytic = gproc.ibm_w2_analytic(args.n, args.m)
         numeric = gproc.ibm_w2_numeric(args.n, args.m, num)
         grid = gproc.Grid(num)

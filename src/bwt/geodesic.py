@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidInput, InvalidParam, Unreachable
 from .linalg import CovMatrix, _psd_apply, _sym, _tol_bound, numeric_rank
 from .schur import schur_complement
-from .transport import DEFAULT_TOL_MAP, TransportMap, _core, _Core, is_reachable, w2_distance
+from .transport import DEFAULT_TOL_MAP, TransportMap, _core, is_reachable, w2_distance
 
 #: Relative tolerance for deciding that a covariance sits on the geodesic
 #: between two others (two-sided distance identity).
@@ -77,43 +77,35 @@ def make_param(a: CovMatrix, b: CovMatrix, style: str = "extreme",
                s: float | None = None) -> GeodesicParam:
     """A named member of the geodesic family for (a, b).
 
-    style="extreme" is the Monge geodesic induced by the deterministic
-    transport map (requires rank(a) >= rank(b)); style="zero" puts nothing
-    into n12, the maximally diffuse member; style="scaled" interpolates,
-    n12 = s * extreme with the leftover sqrt(1 - s^2) weight on m22, for
-    s in [-1, 1].
+    Every style is a point s of the scaled family n12 = s * extreme, with
+    the leftover weight sqrt(1 - s^2) on the Schur root in m22:
+    style="extreme" (s = 1) is the Monge geodesic induced by the
+    deterministic transport map (requires rank(a) >= rank(b)), style="zero"
+    (s = 0) puts nothing into n12, the maximally diffuse member, and
+    style="scaled" takes s in [-1, 1] from the caller.
     """
-    return _make_param(_core(a, b), a, b, style, s)
-
-
-def _make_param(core: _Core, a: CovMatrix, b: CovMatrix, style: str,
-                s: float | None) -> GeodesicParam:
-    root = core.schur_sqrt
-
-    if style == "zero":
-        n12 = np.zeros((core.r, core.n2))
-        m22 = root.copy()
-    elif style in ("extreme", "scaled"):
-        if style == "extreme":
-            s_val = 1.0
-        else:
-            if s is None:
-                raise InvalidParam("style='scaled' requires the coefficient s")
-            s_val = float(s)
-            if not -1.0 <= s_val <= 1.0:
-                raise InvalidParam(f"scaled coefficient must lie in [-1, 1], got {s}")
-        if s_val == 0.0:
-            n12 = np.zeros((core.r, core.n2))
-        else:
-            if not is_reachable(a, b):
-                raise Unreachable(
-                    "Monge-directed geodesic parameters need rank(a) >= rank(b)"
-                )
-            n12 = s_val * (core.deterministic_u12() @ root)
-        m22 = np.sqrt(max(1.0 - s_val * s_val, 0.0)) * root
+    core = _core(a, b)
+    if style == "extreme":
+        s_val = 1.0
+    elif style == "zero":
+        s_val = 0.0
+    elif style == "scaled":
+        if s is None:
+            raise InvalidParam("style='scaled' requires the coefficient s")
+        s_val = float(s)
+        if not -1.0 <= s_val <= 1.0:
+            raise InvalidParam(f"scaled coefficient must lie in [-1, 1], got {s}")
     else:
         raise InvalidParam(f"unknown geodesic style {style!r}")
 
+    root = core.schur_sqrt
+    if s_val == 0.0:
+        n12 = np.zeros((core.r, core.n2))
+    else:
+        if not is_reachable(a, b):
+            raise Unreachable("Monge-directed geodesic parameters need rank(a) >= rank(b)")
+        n12 = s_val * (core.deterministic_u12() @ root)
+    m22 = np.sqrt(max(1.0 - s_val * s_val, 0.0)) * root
     kind = "monge" if _is_zero(m22, b) else "interior"
     return GeodesicParam(n12=n12, m22=m22, kind=kind)
 
@@ -155,10 +147,7 @@ def green_pair(a: CovMatrix, b: CovMatrix, param: GeodesicParam):
     with g.T m symmetric PSD, so linear interpolation of the two factors
     traces a geodesic.
     """
-    return _green_pair(_core(a, b), param)
-
-
-def _green_pair(core: _Core, param: GeodesicParam):
+    core = _core(a, b)
     n12 = np.asarray(param.n12, dtype=float)
     m22 = np.asarray(param.m22, dtype=float)
     if n12.shape != (core.r, core.n2) or m22.shape != (core.n2, core.n2):
@@ -172,17 +161,14 @@ def _green_pair(core: _Core, param: GeodesicParam):
 def make_path(a: CovMatrix, b: CovMatrix, style: str = "extreme",
               s: float | None = None) -> GeodesicPath:
     """Convenience constructor: named parameter plus its factor pair."""
-    core = _core(a, b)
-    param = _make_param(core, a, b, style, s)
-    g, m = _green_pair(core, param)
-    return GeodesicPath(a, b, param, g, m)
+    param = make_param(a, b, style, s)
+    return GeodesicPath(a, b, param, *green_pair(a, b, param))
 
 
 def kantorovich_point(a: CovMatrix, b: CovMatrix, param: GeodesicParam,
                       t: float) -> CovMatrix:
     """The covariance at parameter t on the geodesic selected by ``param``."""
-    g, m = green_pair(a, b, param)
-    return GeodesicPath(a, b, param, g, m).gamma(t)
+    return GeodesicPath(a, b, param, *green_pair(a, b, param)).gamma(t)
 
 
 def mccann_interpolant(a: CovMatrix, tmap, t: float) -> CovMatrix:
@@ -213,14 +199,7 @@ def classify_point(a: CovMatrix, b: CovMatrix, gamma: CovMatrix,
     """
     if not 0.0 <= t <= 1.0:
         raise InvalidParam(f"geodesic parameter must lie in [0, 1], got {t}")
-    return _classify(a, b, gamma, t, w2_distance(a, b))[0]
-
-
-def _classify(a: CovMatrix, b: CovMatrix, gamma: CovMatrix, t: float,
-              d: float) -> tuple[PointClass, float, float]:
-    """:func:`classify_point` for a parameter already checked to lie in
-    [0, 1], given ``d = w2(a, b)``; also returns w2(a, gamma) and
-    w2(gamma, b)."""
+    d = w2_distance(a, b)
     d1 = w2_distance(a, gamma)
     d2 = w2_distance(gamma, b)
     tol = MEMBERSHIP_TOL * (1.0 + d)
@@ -233,12 +212,12 @@ def _classify(a: CovMatrix, b: CovMatrix, gamma: CovMatrix, t: float,
     rank_g = numeric_rank(gamma)
     rank_a = numeric_rank(a)
     if t == 0.0 or t == 1.0:
-        return PointClass("extreme", rank_g, rank_a, 0.0), d1, d2
+        return PointClass("extreme", rank_g, rank_a, 0.0)
 
     sc = schur_complement(a, gamma)
     norm_sc = float(np.linalg.norm(sc.value))
     kind = "extreme" if norm_sc <= _tol_bound(DEFAULT_TOL_MAP, gamma.data) else "interior"
-    return PointClass(kind, rank_g, rank_a, norm_sc), d1, d2
+    return PointClass(kind, rank_g, rank_a, norm_sc)
 
 
 def sample_path(path: GeodesicPath, ts) -> list[CovMatrix]:

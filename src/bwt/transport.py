@@ -118,9 +118,9 @@ class _Core:
     in the order the products with the dense diagonals took, so every
     result rounds as theirs did.
 
-    One context serves every construction on the pair (get it from
-    :func:`_core`).  It holds no reference to a or b, and no array in it is
-    written after it is computed."""
+    One context serves every construction on the pair: each pair function
+    gets it from :func:`_core`, which builds it once.  It holds no reference
+    to a or b, and no array in it is written after it is computed."""
 
     def __init__(self, a: CovMatrix, b: CovMatrix):
         self.tol = max(a.tol_rel, b.tol_rel)
@@ -161,18 +161,8 @@ class _Core:
             sw, su = np.zeros(0), np.zeros((0, 0))
         self._schur_eigvecs = su
         self._schur_live = _live(sw, self.tol * self.lam_b)
-        self.schur_rank = _rank(sw, self.tol * self.lam_b)
+        self.schur_rank = int(np.count_nonzero(self._schur_live))
         self.schur_sqrt = _psd_from_eigh(sw, su, np.sqrt, self._schur_live)
-
-    @property
-    def g11(self) -> np.ndarray:
-        """diag(root) as a dense r x r block, built on each read."""
-        return np.diag(self.root)
-
-    @property
-    def ig11(self) -> np.ndarray:
-        """The inverse of :attr:`g11`, diag(iroot), built on each read."""
-        return np.diag(self.iroot)
 
     def _x_pow(self, p: float) -> np.ndarray:
         """x^p on the live spectrum.  x scales as the square of the pair, so
@@ -338,28 +328,7 @@ def ot_map(
         If ``free_policy="spd_canonical"`` but no symmetric PSD map exists.
     """
     _check_reachable(a, b)
-    return _ot_map(_core(a, b), a, b, u12_policy, u12, free_policy, tol_map)
-
-
-def _check_reachable(a: CovMatrix, b: CovMatrix) -> None:
-    if not is_reachable(a, b):
-        raise Unreachable(
-            f"rank(a) = {numeric_rank(a)} < rank(b) = {numeric_rank(b)}; "
-            "no transport map exists in this direction"
-        )
-
-
-def _check_spd(core: _Core, b: CovMatrix, tol_map: float) -> None:
-    if np.linalg.norm(core.schur) > _tol_bound(tol_map, b.data):
-        raise NoSpdMap(
-            "the Schur complement of the pair is nonzero; "
-            "no symmetric PSD transport map exists"
-        )
-
-
-def _ot_map(core: _Core, a: CovMatrix, b: CovMatrix, u12_policy: str, u12,
-            free_policy: str, tol_map: float) -> TransportMap:
-    """:func:`ot_map` on the pair's context, once reachability is checked."""
+    core = _core(a, b)
     r, n2 = core.r, core.n2
 
     if u12_policy == "deterministic":
@@ -392,6 +361,22 @@ def _ot_map(core: _Core, a: CovMatrix, b: CovMatrix, u12_policy: str, u12,
     return _checked_map(a, b, t, t11, t21, u12_blk, free_policy, tol_map)
 
 
+def _check_reachable(a: CovMatrix, b: CovMatrix) -> None:
+    if not is_reachable(a, b):
+        raise Unreachable(
+            f"rank(a) = {numeric_rank(a)} < rank(b) = {numeric_rank(b)}; "
+            "no transport map exists in this direction"
+        )
+
+
+def _check_spd(core: _Core, b: CovMatrix, tol_map: float) -> None:
+    if np.linalg.norm(core.schur) > _tol_bound(tol_map, b.data):
+        raise NoSpdMap(
+            "the Schur complement of the pair is nonzero; "
+            "no symmetric PSD transport map exists"
+        )
+
+
 def _validate_isometry(core: _Core, u12_blk: np.ndarray, tol_map: float) -> None:
     """Check a supplied u12: range inside null(b11^(1/2) g11), and u12.T u12
     equal to the projector onto range of the Schur complement."""
@@ -417,10 +402,8 @@ def canonical_spd_map(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_M
         If the Schur complement of (a, b) is nonzero, in which case no
         symmetric PSD transport map exists at all.
     """
-    core = _core(a, b)
-    _check_spd(core, b, tol_map)
-    _check_reachable(a, b)
-    return _ot_map(core, a, b, "deterministic", None, "spd_canonical", tol_map)
+    _check_spd(_core(a, b), b, tol_map)  # ahead of ot_map's Unreachable
+    return ot_map(a, b, free_policy="spd_canonical", tol_map=tol_map)
 
 
 def _criterion_one(core: _Core, a: CovMatrix, b: CovMatrix, tol_map: float, tol_abs: float):

@@ -70,6 +70,20 @@ def test_distance_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("payload, reason", [
+    ([[1.0, "x"], [0.0, 1.0]], "entries must be numbers"),
+    ([[1.0, 0.0], [0.0]], "entries must be numbers"),  # ragged
+    ([1.0, 0.0], "nonempty 2-d array"),
+])
+def test_matrix_payload_errors(tmp_path, capsys, payload, reason):
+    a = write_mat(tmp_path, "a.json", A2)
+    bad = write_mat(tmp_path, "bad.json", payload)
+    with pytest.raises(InvalidInput, match=reason):
+        read_matrix(bad)
+    assert main(["distance", a, bad]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_csv_inputs(tmp_path, capsys):
     a_csv = tmp_path / "a.csv"
     a_csv.write_text("1,0\n0,0\n")
@@ -263,6 +277,11 @@ def test_gp_table_and_report(tmp_path, capsys):
 
     assert main(["gp", "0", "2"]) == 2
     capsys.readouterr()
+
+
+def test_gp_rejects_an_empty_grid(capsys):
+    assert main(["gp", "1", "2", "--m", "0"]) == 2
+    assert "grid size must be a positive integer" in capsys.readouterr().err
 
 
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from bwt import (
     CovMatrix,
+    GeodesicParam,
     InvalidInput,
     InvalidParam,
     Unreachable,
@@ -178,6 +179,12 @@ def test_green_pair_is_aligned_and_factors_the_endpoints():
         gram = g.T @ m
         assert np.abs(gram - gram.T).max() <= 1e-10
         assert np.linalg.eigvalsh((gram + gram.T) / 2)[0] >= -1e-10
+
+
+def test_green_pair_rejects_blocks_of_another_shape():
+    prm = make_param(A3, B3)
+    with pytest.raises(InvalidParam, match="shapes do not match"):
+        green_pair(A3, B3, GeodesicParam(n12=np.zeros((1, 1)), m22=prm.m22, kind=prm.kind))
 
 
 def test_classify_point_kinds():

@@ -109,10 +109,11 @@ def test_pair_context_factors_a11_at_the_split_rank():
         a = _near_cut(rng)
         core = _core(a, CovMatrix(0.5 * np.eye(a.n)))
         assert core.r == numeric_rank(a)
-        assert np.linalg.matrix_rank(core.g11) == core.r
-        assert np.abs(core.g11 @ core.ig11 - np.eye(core.r)).max() <= 1e-12
+        g11, ig11 = np.diag(core.root), np.diag(core.iroot)
+        assert np.linalg.matrix_rank(g11) == core.r
+        assert np.abs(g11 @ ig11 - np.eye(core.r)).max() <= 1e-12
         q1 = core.bv.q1
-        assert np.abs(core.g11 @ core.g11 - q1.T @ a.data @ q1).max() <= 1e-12
+        assert np.abs(g11 @ g11 - q1.T @ a.data @ q1).max() <= 1e-12
 
 
 def test_spectral_decompose_descending_rank_and_reconstruction():

@@ -20,6 +20,7 @@ from bwt import (
     optimal_coupling,
     ot_map,
     pusz_woronowicz,
+    raw_param,
     spd_reachability,
     trace_fidelity,
     w2_distance,
@@ -157,6 +158,17 @@ def test_ot_map_supplied_accepts_valid_and_rejects_invalid():
         ot_map(A3, B3, free_policy="bogus")
 
 
+def test_blocks_outside_the_null_space_are_refused():
+    # b11^(1/2) g11 = diag(2, 0) for this pair, so the range of [1, 0].T is
+    # not inside its null space, whether supplied as n12 or as u12
+    a, b = CovMatrix(np.diag([4.0, 1.0, 0.0])), CovMatrix(np.diag([1.0, 0.0, 1.0]))
+    blk = np.array([[1.0], [0.0]])
+    with pytest.raises(InvalidParam, match="not inside null"):
+        raw_param(a, b, blk)
+    with pytest.raises(InvalidParam, match="not inside null"):
+        ot_map(a, b, u12_policy="supplied", u12=blk)
+
+
 def test_ot_map_spd_canonical_policy():
     rng = np.random.default_rng(23)
     for _ in range(8):
@@ -170,6 +182,12 @@ def test_ot_map_spd_canonical_policy():
         ot_map(A3, C3, free_policy="spd_canonical")
     with pytest.raises(NoSpdMap):
         canonical_spd_map(A3, C3)
+
+
+def test_canonical_spd_map_reports_no_spd_map_before_unreachable():
+    # rank(a) < rank(b) and a nonzero Schur complement: NoSpdMap, exit 4
+    with pytest.raises(NoSpdMap):
+        canonical_spd_map(CovMatrix(np.diag([1.0, 0.0, 0.0])), CovMatrix(np.eye(3)))
 
 
 def test_ot_map_to_self_is_the_range_projector():
