@@ -120,7 +120,9 @@ class _Core:
 
     One context serves every construction on the pair: each pair function
     gets it from :func:`_core`, which builds it once.  It holds no reference
-    to a or b, and no array in it is written after it is computed."""
+    to a or b, and no array in it is written after it is computed.  The
+    canonical symmetric PSD map is built by :meth:`spd_blk` on each call and
+    never kept, so a context holds no n x n array of it."""
 
     def __init__(self, a: CovMatrix, b: CovMatrix):
         self.tol = max(a.tol_rel, b.tol_rel)
@@ -182,13 +184,14 @@ class _Core:
         """g11^(-1) x^(1/2) g11^(-1): the range block of every optimal map."""
         return _sym(self.iroot[:, None] * self.x_sqrt * self.iroot)
 
-    def spd_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The blocks t12 and t22 of the canonical symmetric PSD map."""
+    def spd_blk(self) -> np.ndarray:
+        """The canonical symmetric PSD map [[t11, t12], [t12.T, t22]] in a's
+        eigenbasis, exactly symmetric: the one construction of that map."""
         t12 = (self.iroot[:, None] * self.x_pinv_sqrt * self.root) @ self.bv.b12
-        if not self.n2:  # no null block, and no x^(-1.5) to overflow
-            return t12, np.zeros((0, 0))
-        t22 = ((self.bv.b21 * self.root) @ self._x_pow(-1.5) * self.root) @ self.bv.b12
-        return t12, t22
+        t22 = 0.0  # with no null block there is no x^(-1.5) to overflow
+        if self.n2:
+            t22 = _sym(((self.bv.b21 * self.root) @ self._x_pow(-1.5) * self.root) @ self.bv.b12)
+        return self.blocks(self.t11(), t12, t12.T, t22)
 
     def blocks(self, t11, t12, t21, t22) -> np.ndarray:
         """The n x n matrix [[t11, t12], [t21, t22]] in a's eigenbasis."""
@@ -255,19 +258,11 @@ def is_reachable(a: CovMatrix, b: CovMatrix) -> bool:
     return numeric_rank(a) >= numeric_rank(b)
 
 
-def _transport_residual(t, a: CovMatrix, b: CovMatrix) -> float:
-    """||t a t^T - b||_F: how far ``t`` is from pushing N(0, a) to N(0, b)."""
-    return float(np.linalg.norm(t @ a.data @ t.T - b.data))
-
-
 def _checked_map(a: CovMatrix, b: CovMatrix, t, t11, t21, u12, tag: str,
-                 tol_map: float, res_t: float | None = None) -> TransportMap:
+                 tol_map: float) -> TransportMap:
     """Wrap a map with its transport and optimality residuals; a transport
-    residual above ``tol_map * (1 + ||b||)`` raises NumericalInconsistency.
-    A caller that already holds ``_transport_residual(t, a, b)`` passes it
-    as ``res_t``."""
-    if res_t is None:
-        res_t = _transport_residual(t, a, b)
+    residual above ``tol_map * (1 + ||b||)`` raises NumericalInconsistency."""
+    res_t = float(np.linalg.norm(t @ a.data @ t.T - b.data))
     res_o = abs(float(np.trace(a.data @ t)) - trace_fidelity(a, b))
     if res_t > _tol_bound(tol_map, b.data):
         raise NumericalInconsistency(
@@ -317,8 +312,10 @@ def ot_map(
         coordinates, validated for admissibility).
     free_policy : {"symmetric_zero", "spd_canonical"}
         How to fill the blocks acting out of null(a): symmetric completion
-        with a zero lower-right block, or the canonical symmetric PSD
-        completion (only available when the Schur complement vanishes).
+        with a zero lower-right block, or the canonical symmetric PSD map
+        (only available when the Schur complement vanishes).  The latter
+        is the witness map of :func:`spd_reachability`, with its t11, t21
+        and zero u12; a supplied u12 is validated but does not enter it.
 
     Raises
     ------
@@ -331,34 +328,39 @@ def ot_map(
     core = _core(a, b)
     r, n2 = core.r, core.n2
 
-    if u12_policy == "deterministic":
-        u12_blk = core.deterministic_u12()
-    elif u12_policy == "negated":
-        u12_blk = -core.deterministic_u12()
-    elif u12_policy == "supplied":
+    if u12_policy == "supplied":
         if u12 is None:
             raise InvalidParam("u12_policy='supplied' requires a u12 matrix")
         u12_blk = np.asarray(u12, dtype=float)
         if u12_blk.shape != (r, n2):
             raise InvalidParam(f"u12 must have shape ({r}, {n2}), got {u12_blk.shape}")
         _validate_isometry(core, u12_blk, tol_map)
-    else:
+    elif u12_policy not in ("deterministic", "negated"):
         raise InvalidParam(f"unknown u12 policy {u12_policy!r}")
 
-    t11 = core.t11()
-    t21 = (core.w21 + core.schur_sqrt @ u12_blk.T) * core.iroot
-
-    if free_policy == "symmetric_zero":
-        t12 = t21.T
-        t22 = np.zeros((n2, n2))
-    elif free_policy == "spd_canonical":
+    if free_policy == "spd_canonical":
         _check_spd(core, b, tol_map)
-        t12, t22 = core.spd_blocks()
-    else:
+        return _spd_map(core, a, b, core.spd_blk(), tol_map)
+    if free_policy != "symmetric_zero":
         raise InvalidParam(f"unknown free-block policy {free_policy!r}")
 
-    t = core.assemble(t11, t12, t21, t22)
+    if u12_policy != "supplied":
+        u12_blk = core.deterministic_u12()
+        if u12_policy == "negated":
+            u12_blk = -u12_blk
+    t11 = core.t11()
+    t21 = (core.w21 + core.schur_sqrt @ u12_blk.T) * core.iroot
+    t = core.assemble(t11, t21.T, t21, np.zeros((n2, n2)))
     return _checked_map(a, b, t, t11, t21, u12_blk, free_policy, tol_map)
+
+
+def _spd_map(core: _Core, a: CovMatrix, b: CovMatrix, blk: np.ndarray,
+             tol_map: float) -> TransportMap:
+    """The canonical symmetric PSD map of :meth:`_Core.spd_blk` in ambient
+    coordinates: its u12 is zero, and its t21 is t12.T."""
+    r = core.r
+    return _checked_map(a, b, core.q @ blk @ core.q.T, blk[:r, :r].copy(),
+                        blk[r:, :r].copy(), np.zeros((r, core.n2)), "spd_canonical", tol_map)
 
 
 def _check_reachable(a: CovMatrix, b: CovMatrix) -> None:
@@ -394,7 +396,10 @@ def canonical_spd_map(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_M
 
     Among all symmetric PSD optimal maps this is the one of minimal rank,
     rank(b^(1/2) a^(1/2)); every other member differs only by a PSD
-    lower-right block on null(a).
+    lower-right block on null(a).  It is built as the witness of
+    :func:`spd_reachability` is, and equals it byte for byte, but only the
+    Schur complement's norm is checked here: criterion 1's PSD test is not
+    repeated.
 
     Raises
     ------
@@ -406,37 +411,25 @@ def canonical_spd_map(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_M
     return ot_map(a, b, free_policy="spd_canonical", tol_map=tol_map)
 
 
-def _criterion_one(core: _Core, a: CovMatrix, b: CovMatrix, tol_map: float, tol_abs: float):
-    """Criterion 1 of :func:`spd_reachability`: the canonical candidate with
-    its blocks t11 and t12 and its transport residual, or None when it is not
-    a PSD transport map within ``tol_abs``.
+def _criterion_one(core: _Core, tol_map: float, tol_abs: float) -> np.ndarray | None:
+    """Criterion 1 of :func:`spd_reachability`: the canonical map's blocks
+    blk in a's eigenbasis q, or None when q blk q.T is not a PSD transport
+    map within ``tol_abs``.
 
-    The residual is first measured in a's eigenbasis q, where a is
-    diag(lambda) and q.T b q is the pair's block view: one n x n product.
-    That residual and the ambient one carry rounding of the same size, about
-    n eps (lambda_max ||blk||^2 + ||b||) per product, and either may be the
-    larger, so the screen rejects only a candidate that fails by more than
-    four times that, a bound on their difference.  Every other candidate is
-    assembled in ambient coordinates, where its residual and least
-    eigenvalue decide.
+    Both tests are made on blk.  q is orthogonal and q.T b q is the pair's
+    block view, so the transport residual is ||blk diag(lambda) blk.T -
+    q.T b q||_F, one n x n product; blk and q blk q.T are similar, so they
+    share their least eigenvalue, which is decomposed only for a map that
+    passes the residual.
     """
-    t11 = core.t11()
-    t12, t22 = core.spd_blocks()
-    blk = core.blocks(t11, t12, t12.T, t22)
+    blk = core.spd_blk()
     bv = core.bv
     b_q = np.block([[bv.b11, bv.b12], [bv.b21, bv.b22]])
-    res_q = float(np.linalg.norm((blk * core.lam) @ blk.T - b_q))
-    rounding = 4.0 * core.n * np.finfo(float).eps * (
-        core.lam_a * float(np.linalg.norm(blk)) ** 2 + float(np.linalg.norm(b.data)))
-    if res_q > tol_abs + rounding:
+    if np.linalg.norm((blk * core.lam) @ blk.T - b_q) > tol_abs:
         return None
-    cand = core.q @ blk @ core.q.T
-    res_t = _transport_residual(cand, a, b)
-    eig_min = float(np.linalg.eigvalsh(_sym(cand))[0])
-    cand_scale = max(float(np.abs(cand).max()), 1.0)
-    if res_t <= tol_abs and eig_min >= -tol_map * cand_scale:
-        return cand, t11, t12, res_t
-    return None
+    if np.linalg.eigvalsh(blk)[0] < -tol_map * max(float(np.abs(blk).max()), 1.0):
+        return None
+    return blk
 
 
 def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MAP) -> SpdReachReport:
@@ -453,22 +446,20 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     4. rank(b) = rank(b a),
     5. range(b) intersects null(a) trivially (principal angles).
 
-    The criteria share the spectra of a and b, and the canonical witness is
-    criterion 1's candidate.  Criterion 1 first measures the candidate's
-    transport residual in a's eigenbasis q, where a is diag(lambda) and
-    q.T b q is the pair's :class:`~bwt.schur.BlockView`: one n x n product.
-    A candidate that fails there by more than the residuals' rounding fails
-    the criterion, and is neither assembled nor decomposed at n x n.  Any
-    other is assembled in ambient coordinates, where its transport residual
-    and least eigenvalue decide the criterion, and it becomes the witness
-    with that residual.
+    The criteria share the spectra of a and b.  Criterion 1 tests the
+    canonical map as the block matrix blk = [[t11, t12], [t12.T, t22]] in
+    a's eigenbasis q, where a is diag(lambda) and q.T b q is the pair's
+    :class:`~bwt.schur.BlockView`: its transport residual is
+    ||blk diag(lambda) blk.T - q.T b q||_F and its least eigenvalue that of
+    blk.  Only a map that passes is assembled, as the witness q blk q.T,
+    the map :func:`canonical_spd_map` returns.
     """
     core = _core(a, b)
     tol_abs = _tol_bound(tol_map, b.data)
 
     # 1. construct the canonical candidate unconditionally and test it
-    found = _criterion_one(core, a, b, tol_map, tol_abs)
-    spd_exists = found is not None
+    blk = _criterion_one(core, tol_map, tol_abs)
+    spd_exists = blk is not None
 
     # 2. rank of the Schur complement (via the x-route spectrum)
     as_unique = core.schur_rank == 0
@@ -502,13 +493,7 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
             f"intersection={trivial_intersection}"
         )
 
-    # the witness is criterion 1's candidate: with the Schur complement zero,
-    # its u12 is zero and t21 = t12.T
-    witness = None
-    if spd_exists:
-        cand, t11, t12, res_t = found
-        witness = _checked_map(a, b, cand, t11, t12.T, np.zeros((core.r, core.n2)),
-                               "spd_canonical", tol_map, res_t)
+    witness = _spd_map(core, a, b, blk, tol_map) if spd_exists else None
     return SpdReachReport(
         spd_exists=spd_exists,
         as_unique=as_unique,

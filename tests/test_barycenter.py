@@ -324,6 +324,9 @@ def test_hierarchical_validation():
         hierarchical_closed_form([g1, g2], [0.7])
     with pytest.raises(InvalidInput):
         hierarchical_closed_form([g1, g2], [0.7, 0.7])
+    g3 = BarycenterProblem((block_cov(rng, 5, 0, 2, 2),), (1.0,))
+    with pytest.raises(InvalidInput, match="share one dimension"):
+        hierarchical_closed_form([g1, g3], [0.5, 0.5])
     with pytest.raises(PreconditionFailed):
         hierarchical_closed_form([g1, overlap], [0.5, 0.5])
 

@@ -289,6 +289,8 @@ def test_align_green_accepts_green_factor_reference():
     assert np.linalg.eigvalsh((gram + gram.T) / 2)[0] >= -1e-10 * (1 + np.linalg.norm(gram))
     with pytest.raises(InvalidInput):
         align_green(np.zeros((3, 3)), a2)
+    with pytest.raises(InvalidInput, match="must be square"):
+        align_green(np.zeros((4, 2)), a2)
 
 
 def test_trace_fidelity_known_values():

@@ -40,6 +40,8 @@ def test_block_decompose_accepts_symmetric_indefinite_second_argument():
     assert bv.b22.shape == (1, 1)
     with pytest.raises(InvalidInput):
         block_decompose(A3, np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
+    with pytest.raises(InvalidInput, match="expected a 3x3 matrix"):
+        block_decompose(A3, np.eye(2))
 
 
 def test_schur_complement_hand_examples():

@@ -6,6 +6,8 @@ import pytest
 from bwt import (
     INFINITE,
     CovMatrix,
+    Grid,
+    InvalidInput,
     InvalidParam,
     NoSpdMap,
     NotInvertible,
@@ -23,10 +25,11 @@ from bwt import (
     raw_param,
     spd_reachability,
     trace_fidelity,
+    volterra_green,
     w2_distance,
 )
 from bwt.linalg import _tol_bound
-from bwt.transport import DEFAULT_TOL_MAP, _core, _criterion_one
+from bwt.transport import DEFAULT_TOL_MAP, _core, _criterion_one, _spd_map
 from conftest import rand_psd, rand_reachable_pair
 
 A3 = CovMatrix(np.diag([4.0, 1.0, 0.0]))
@@ -38,9 +41,9 @@ A2 = CovMatrix(np.diag([1.0, 0.0]))
 B2 = CovMatrix(np.diag([0.0, 1.0]))
 
 
-def spd_pair(rng, n):
+def spd_pair(rng, n, rank=None):
     """(a, b) with b = w a w.T for invertible w: always SPD-reachable."""
-    a = rand_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+    a = rand_psd(rng, n, rank=int(rng.integers(1, n + 1)) if rank is None else rank)
     w = np.eye(n) + 0.3 * rng.standard_normal((n, n))
     return a, CovMatrix((lambda m: (m + m.T) / 2)(w @ a.data @ w.T))
 
@@ -52,6 +55,45 @@ def test_canonical_spd_map_golden_example():
     assert np.linalg.eigvalsh(m.t)[0] >= -1e-12
     assert m.residual_transport <= 1e-12
     assert m.residual_optimality <= 1e-12
+
+
+def test_canonical_spd_map_is_the_witness_and_symmetric_to_rounding():
+    # one construction: the witness of spd_reachability and canonical_spd_map
+    # are the same map, byte for byte, with t22 built symmetric, so the only
+    # asymmetry left is the rounding of carrying it to ambient coordinates
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(30)
+    maps = []
+    for _ in range(4):
+        a, b = spd_pair(rng, 30, rank=20)
+        witness, m = spd_reachability(a, b).witness, canonical_spd_map(a, b)
+        for field in ("t", "t11", "t21", "u12"):
+            assert getattr(witness, field).tobytes() == getattr(m, field).tobytes()
+        maps.append(witness.t)
+    # a rank-40 source against the ill-conditioned order-3 integrated
+    # Brownian motion covariance: canonical_spd_map returns although
+    # spd_reachability finds its criteria split
+    g = volterra_green(3, Grid(60)).mat
+    ibm3 = CovMatrix(g @ g.T)
+    for _ in range(2):
+        maps.append(canonical_spd_map(rand_psd(rng, 60, 40), ibm3).t)
+    for t in maps:
+        assert np.linalg.norm(t - t.T) <= 8 * t.shape[0] * eps * np.linalg.norm(t)
+
+
+def test_canonical_spd_map_with_a_schur_complement_under_the_norm_bound():
+    # The Schur complement diag(1e-9) passes the norm test of
+    # canonical_spd_map but has rank 1 at the spectral cut.  The map is the
+    # witness construction, symmetric with a zero u12, which misses b's 1e-9
+    # entry; spd_reachability sees its criteria split and says so.
+    a = CovMatrix(np.diag([1.0, 1.0, 0.0]))
+    b = CovMatrix(np.diag([1.0, 0.0, 1e-9]))
+    m = canonical_spd_map(a, b)
+    assert np.array_equal(m.t, np.diag([1.0, 0.0, 0.0]))
+    assert not m.u12.any()
+    assert m.residual_transport == pytest.approx(1e-9, rel=1e-12)
+    with pytest.raises(NumericalInconsistency, match="criteria disagree"):
+        spd_reachability(a, b)
 
 
 def test_w2_known_values():
@@ -260,8 +302,10 @@ def _old_criterion_one(a, b, tol_map=DEFAULT_TOL_MAP):
     least eigenvalue.  Returns the flag, the candidate and its residual."""
     core = _core(a, b)
     t11 = core.t11()
-    t12, t22 = core.spd_blocks()
-    r = core.r
+    r, root, iroot, bv = core.r, core.root, core.iroot, core.bv
+    t12 = (iroot[:, None] * core.x_pinv_sqrt * root) @ bv.b12
+    t22 = ((bv.b21 * root) @ core._x_pow(-1.5) * root) @ bv.b12
+    t22 = (t22 + t22.T) * 0.5
     blk = np.zeros((a.n, a.n))
     blk[:r, :r], blk[:r, r:], blk[r:, :r], blk[r:, r:] = t11, t12, t12.T, t22
     q = np.hstack([core.bv.q1, core.bv.q2])
@@ -296,19 +340,21 @@ def _criterion_one_pairs(rng):
 
 
 def test_criterion_one_in_the_eigenbasis_matches_the_ambient_test():
-    # the eigenbasis residual rounds differently from the ambient one and
-    # only screens, with an allowance for that rounding: the flag, the
-    # witness and its residual are those of the ambient candidate, byte for
-    # byte, also where the residual lies near tol_abs
+    # criterion 1 tests the map's blocks in a's eigenbasis, whose residual
+    # rounds differently from the ambient one: the flag, the witness and its
+    # residual are those of the ambient candidate, byte for byte, also where
+    # the residual lies near tol_abs
     seen = {True: 0, False: 0}
     near = 0
     for a, b in _criterion_one_pairs(np.random.default_rng(27)):
         tol_abs = _tol_bound(DEFAULT_TOL_MAP, b.data)
         flag, cand, res_t = _old_criterion_one(a, b)
-        found = _criterion_one(_core(a, b), a, b, DEFAULT_TOL_MAP, tol_abs)
-        assert (found is not None) == flag
+        core = _core(a, b)
+        blk = _criterion_one(core, DEFAULT_TOL_MAP, tol_abs)
+        assert (blk is not None) == flag
         if flag:
-            assert found[0].tobytes() == cand.tobytes() and found[3] == res_t
+            witness = _spd_map(core, a, b, blk, DEFAULT_TOL_MAP)
+            assert witness.t.tobytes() == cand.tobytes() and witness.residual_transport == res_t
         near += 0.1 <= res_t / tol_abs <= 10.0
         seen[flag] += 1
     assert seen[True] >= 10 and seen[False] >= 10 and near >= 12
@@ -389,6 +435,10 @@ def test_dual_conjugate_rejects_misaligned_factors():
     rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(InvalidParam):
         dual_conjugate(g, rot @ g, np.zeros(3))  # g.T m asymmetric
+    with pytest.raises(InvalidInput, match="dimensions do not match"):
+        dual_conjugate(g, g[:2], np.zeros(3))
+    with pytest.raises(InvalidInput, match="dimensions do not match"):
+        dual_conjugate(g, g, np.zeros(2))
 
 
 def test_dual_conjugate_fenchel_young_on_support():
