@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, InvalidParam, Unreachable
-from .linalg import CovMatrix, _psd_apply, _sym, _tol_bound, numeric_rank
+from .linalg import CovMatrix, _live, _psd_from_eigh, _sym, _tol_bound, numeric_rank
 from .schur import schur_complement
 from .transport import DEFAULT_TOL_MAP, TransportMap, _core, is_reachable, w2_distance
 
@@ -125,13 +125,13 @@ def raw_param(a: CovMatrix, b: CovMatrix, n12: np.ndarray,
 
     core.check_in_null(n12, "n12", tol_map)
 
-    diff = _sym(core.schur - n12.T @ n12)
+    # one eigh of the leftover gives both its PSD test and its square root
+    m22 = _sym(core.schur - n12.T @ n12)
     if core.n2:
-        w = np.linalg.eigvalsh(diff)
-        s_scale = max(float(np.linalg.norm(core.schur)), 1.0)
-        if w[0] < -tol_map * s_scale:
+        w, u = np.linalg.eigh(m22)
+        if w[0] < -tol_map * max(float(np.linalg.norm(core.schur)), 1.0):
             raise InvalidParam("n12.T n12 exceeds the Schur complement of the pair")
-    m22 = _psd_apply(diff, "sqrt", core.tol)
+        m22 = _psd_from_eigh(w, u, np.sqrt, _live(w, core.tol * max(w[-1], 0.0)))
     kind = "monge" if _is_zero(m22, b) else "interior"
     return GeodesicParam(n12=n12, m22=m22, kind=kind)
 
@@ -155,7 +155,8 @@ def green_pair(a: CovMatrix, b: CovMatrix, param: GeodesicParam):
 
     q1 = core.bv.q1
     g = (q1 * core.root) @ q1.T  # the factor g11 on range(a), zero on null(a)
-    return g, core.assemble(core.iroot[:, None] * core.x_sqrt, 0.0, core.w21 + n12.T, m22)
+    # the range block g11^(-1) x^(1/2) of m is h.T u.T
+    return g, core.assemble(core.h.T @ core.u.T, 0.0, core.w21 + n12.T, m22)
 
 
 def make_path(a: CovMatrix, b: CovMatrix, style: str = "extreme",

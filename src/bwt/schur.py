@@ -193,6 +193,8 @@ def schur_rank_identity(a: CovMatrix, b: CovMatrix, g: GreenFactor | None = None
     if g is None:
         g = green_factor(a)
     g_mat = g.padded()
+    if g_mat.shape != (a.n, a.n):
+        raise InvalidInput(f"factor shape {g_mat.shape} does not match dimension {a.n}")
     lhs = schur_complement(a, b).rank
     w = np.linalg.eigvalsh(_sym(g_mat.T @ b.data @ g_mat))
     tol = max(a.tol_rel, b.tol_rel)

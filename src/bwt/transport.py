@@ -32,7 +32,6 @@ from .linalg import (
     _live,
     _live_eigs,
     _memoized,
-    _null_basis,
     _psd_apply,
     _psd_from_eigh,
     _rank,
@@ -112,11 +111,16 @@ def _core(a: CovMatrix, b: CovMatrix) -> "_Core":
 class _Core:
     """Shared block data for the map constructions: the range/null split of a,
     the factor g11 = diag(sqrt(lambda_r)) of a11 from a's cached spectrum, the
-    compressed matrix x = g11 b11 g11 with its spectral functions, and the
-    Schur complement via the x-route.  g11 and its inverse are kept as their
-    diagonals ``root`` and ``iroot`` and applied as row and column scalings,
-    in the order the products with the dense diagonals took, so every
-    result rounds as theirs did.
+    compressed matrix x = g11 b11 g11 and the Schur complement via the
+    x-route.  g11 and its inverse are kept as their diagonals ``root`` and
+    ``iroot`` and applied as row and column scalings.
+
+    x = u diag(s^2) u.T is decomposed once, on its live spectrum, and every
+    map block is built from two thin factors of it, with no power of x:
+    h = diag(s) u.T g11^(-1) (r_x x r) and c = diag(1/s) u.T g11 b12
+    (r_x x n2).  Then t11 = h.T diag(1/s) h, w21 = c.T u.T, the Schur
+    complement is b22 - c.T c, and null(b11^(1/2) g11) = null(x) is spanned
+    by the eigenvectors of x outside the live set.
 
     One context serves every construction on the pair: each pair function
     gets it from :func:`_core`, which builds it once.  It holds no reference
@@ -149,14 +153,16 @@ class _Core:
         self.lam_b = b.lam_max
 
         x = _sym(self.root[:, None] * self.bv.b11 * self.root)
-        self._x_eigvals, self._x_eigvecs = np.linalg.eigh(x)
-        self._x_live = _live(self._x_eigvals, self.tol * self.lam_a * self.lam_b)
-        self.x_sqrt = self._x_pow(0.5)
-        self.x_pinv_sqrt = self._x_pow(-0.5)
+        mu, u = np.linalg.eigh(x)
+        live = _live(mu, self.tol * self.lam_a * self.lam_b)
+        self.u, self._u_null = u[:, live], u[:, ~live]
+        self.s = np.sqrt(mu[live])
+        self.h = (self.s[:, None] * self.u.T) * self.iroot
+        self.c = ((self.u.T / self.s[:, None]) * self.root) @ self.bv.b12
 
         # b21 g11 x^(-1/2): the determined part of the lower-left block
-        self.w21 = (self.bv.b21 * self.root) @ self.x_pinv_sqrt
-        self.schur = _sym(self.bv.b22 - self.w21 @ self.w21.T)
+        self.w21 = self.c.T @ self.u.T
+        self.schur = _sym(self.bv.b22 - self.c.T @ self.c)
         if self.n2:
             sw, su = np.linalg.eigh(self.schur)
         else:
@@ -166,63 +172,46 @@ class _Core:
         self.schur_rank = int(np.count_nonzero(self._schur_live))
         self.schur_sqrt = _psd_from_eigh(sw, su, np.sqrt, self._schur_live)
 
-    def _x_pow(self, p: float) -> np.ndarray:
-        """x^p on the live spectrum.  x scales as the square of the pair, so
-        x^(-1.5) overflows at pair scales below about 1e-103; a power that is
-        not finite raises NumericalInconsistency instead of passing inf on."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _psd_from_eigh(self._x_eigvals, self._x_eigvecs, lambda w: w ** p,
-                                 self._x_live)
-        if not np.all(np.isfinite(out)):
-            raise NumericalInconsistency(
-                f"x^({p:g}) is not finite: an eigenvalue of x is too small "
-                "for its power at this scale"
-            )
-        return out
-
     def t11(self) -> np.ndarray:
-        """g11^(-1) x^(1/2) g11^(-1): the range block of every optimal map."""
-        return _sym(self.iroot[:, None] * self.x_sqrt * self.iroot)
+        """g11^(-1) x^(1/2) g11^(-1) = h.T diag(1/s) h: the range block of
+        every optimal map."""
+        return _sym(self.h.T @ (self.h / self.s[:, None]))
 
     def spd_blk(self) -> np.ndarray:
         """The canonical symmetric PSD map [[t11, t12], [t12.T, t22]] in a's
-        eigenbasis, exactly symmetric: the one construction of that map."""
-        t12 = (self.iroot[:, None] * self.x_pinv_sqrt * self.root) @ self.bv.b12
-        t22 = 0.0  # with no null block there is no x^(-1.5) to overflow
-        if self.n2:
-            t22 = _sym(((self.bv.b21 * self.root) @ self._x_pow(-1.5) * self.root) @ self.bv.b12)
-        return self.blocks(self.t11(), t12, t12.T, t22)
+        eigenbasis: the one construction of that map.  It is the weighted
+        Gram product k.T diag(1/s) k of k = [h | c], symmetrized, so it is
+        PSD up to rounding by construction; t22 = b21 g11 x^(-3/2) g11 b12
+        is never formed as a power of x."""
+        k = np.hstack([self.h, self.c])
+        return _sym(k.T @ (k / self.s[:, None]))
 
-    def blocks(self, t11, t12, t21, t22) -> np.ndarray:
-        """The n x n matrix [[t11, t12], [t21, t22]] in a's eigenbasis."""
+    def assemble(self, t11, t12, t21, t22) -> np.ndarray:
+        """The matrix [[t11, t12], [t21, t22]] of blocks in a's eigenbasis,
+        in ambient coordinates."""
         blk = np.zeros((self.n, self.n))
         blk[: self.r, : self.r] = t11
         blk[: self.r, self.r :] = t12
         blk[self.r :, : self.r] = t21
         blk[self.r :, self.r :] = t22
-        return blk
-
-    def assemble(self, t11, t12, t21, t22) -> np.ndarray:
-        """The matrix with these blocks, in ambient coordinates."""
-        return self.q @ self.blocks(t11, t12, t21, t22) @ self.q.T
-
-    @functools.cached_property
-    def k(self) -> np.ndarray:
-        """b11^(1/2) g11, whose null space must hold the range of u12 / n12."""
-        return _psd_apply(self.bv.b11, "sqrt", self.tol) * self.root
+        return self.q @ blk @ self.q.T
 
     def check_in_null(self, m: np.ndarray, name: str, tol_map: float) -> None:
-        """Raise InvalidParam unless the range of ``m`` lies in null(k)."""
-        scale = max(float(np.linalg.norm(self.k)), 1.0) * max(float(np.linalg.norm(m)), 1.0)
-        if np.linalg.norm(self.k @ m) > tol_map * scale:
+        """Raise InvalidParam unless the range of ``m`` lies in
+        null(b11^(1/2) g11), tested as ||b11^(1/2) g11 m|| = ||x^(1/2) m||
+        = ||diag(s) u.T m|| against ||x^(1/2)||_F ||m||."""
+        scale = max(float(np.linalg.norm(self.s)), 1.0) * max(float(np.linalg.norm(m)), 1.0)
+        if np.linalg.norm(self.s[:, None] * (self.u.T @ m)) > tol_map * scale:
             raise InvalidParam(f"{name} range is not inside null(b11^(1/2) g11)")
 
     def deterministic_u12(self) -> np.ndarray:
         """The canonical partial isometry null(a)-coords -> range(a)-coords.
 
-        Pairs the descending eigenvectors of the Schur complement with an
-        SVD-derived basis of null(b11^(1/2) g11), taken in its natural order.
-        Computed once per context; each call returns a fresh copy.
+        Pairs the descending eigenvectors of the Schur complement with the
+        eigenvectors of x outside its live set, which span
+        null(b11^(1/2) g11) = null(x), in ascending order of their
+        eigenvalues.  Computed once per context; each call returns a fresh
+        copy.
         """
         return self._u12.copy()
 
@@ -232,13 +221,12 @@ class _Core:
         if self.schur_rank == 0:
             return u12
         su = _fix_signs(self._schur_eigvecs[:, ::-1])
-        v_null = _null_basis(self.k, self.tol * np.sqrt(self.lam_a * self.lam_b))
-        if v_null.shape[1] < self.schur_rank:
+        if self._u_null.shape[1] < self.schur_rank:
             raise NumericalInconsistency(
                 "null space of b11^(1/2) g11 is too small to absorb the "
                 "rank increase; rank thresholds are inconsistent"
             )
-        return v_null[:, : self.schur_rank] @ su[:, : self.schur_rank].T
+        return self._u_null[:, : self.schur_rank] @ su[:, : self.schur_rank].T
 
 
 def w2_distance(a: CovMatrix, b: CovMatrix) -> float:

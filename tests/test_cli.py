@@ -161,13 +161,17 @@ def test_map_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_map_exit_code_at_tiny_scale(tmp_path, capsys):
-    # x^(-1.5) overflows at this scale: a numerical failure (5), not an
-    # input error (2)
+def test_map_check_only_at_tiny_scale(tmp_path, capsys):
+    # no power of x below -1/2 is formed, so at this scale the check succeeds
+    # and reports the flags of the scale-1 pair
+    rep, rep1 = str(tmp_path / "rep.json"), str(tmp_path / "rep1.json")
     a = write_mat(tmp_path, "a.json", (np.array(A3) * 1e-156).tolist())
     b = write_mat(tmp_path, "b.json", (np.array(B3) * 1e-156).tolist())
-    assert main(["map", a, b, "--check-only"]) == 5
-    assert "error:" in capsys.readouterr().err
+    assert main(["map", a, b, "--check-only", "--json", rep]) == 0
+    a1, b1 = write_mat(tmp_path, "a1.json", A3), write_mat(tmp_path, "b1.json", B3)
+    assert main(["map", a1, b1, "--check-only", "--json", rep1]) == 0
+    assert load_report(rep)["spd"] == load_report(rep1)["spd"]
+    capsys.readouterr()
 
 
 def test_geodesic_midpoint_exact_bytes(tmp_path, capsys):

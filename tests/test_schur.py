@@ -3,6 +3,7 @@ import pytest
 
 from bwt import (
     CovMatrix,
+    GreenFactor,
     InvalidInput,
     block_decompose,
     green_factor,
@@ -115,6 +116,10 @@ def rhs_via_direct(a, b):
 def test_schur_rank_identity_hand_values():
     assert schur_rank_identity(A3, B3) == (0, 0)
     assert schur_rank_identity(A3, C3) == (1, 1)
+    # a factor of the wrong size is an input error, not numpy's ValueError
+    a = CovMatrix(np.diag([1.0, 1.0, 0.0]))
+    with pytest.raises(InvalidInput, match="factor shape"):
+        schur_rank_identity(a, a, GreenFactor(np.eye(2), 2))
 
 
 def test_block_view_is_read_only_and_shared():
