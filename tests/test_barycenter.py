@@ -131,6 +131,14 @@ def test_fixed_point_residual_small_at_bcd_output():
         assert fixed_point_residual(prob, res.a_hat) <= 1e-6 * (1 + res.a_hat.trace())
 
 
+def test_fixed_point_residual_rejects_a_candidate_of_another_dimension():
+    # as frechet_variance does: a bwt error, not numpy's matmul ValueError
+    with pytest.raises(InvalidInput, match="dimension mismatch"):
+        fixed_point_residual(MIDPOINT, CovMatrix(np.eye(3)))
+    with pytest.raises(InvalidInput, match="dimension mismatch"):
+        frechet_variance(MIDPOINT, CovMatrix(np.eye(3)))
+
+
 @pytest.mark.parametrize("n,k,r", [(12, 4, 3), (20, 5, 8), (30, 6, 10)])
 def test_default_start_leaves_the_singular_saddle(n, k, r):
     # Rank-r members all started in the same r columns would hold the ascent
@@ -170,12 +178,13 @@ def plain_ascent(prob):
 
 @pytest.fixture
 def step_calls(monkeypatch):
-    """The Anderson steps solve_bcd attempts, recorded by a spy."""
+    """The Anderson steps solve_bcd attempts, recorded by a spy with a copy
+    of each window as it was passed (solve_bcd goes on to change it)."""
     calls, step = [], barycenter._anderson_step
 
-    def spy(*args):
-        calls.append(args)
-        return step(*args)
+    def spy(problem, thins, xs, rs):
+        calls.append((problem, thins, list(xs), list(rs)))
+        return step(problem, thins, xs, rs)
 
     monkeypatch.setattr(barycenter, "_anderson_step", spy)
     return calls
@@ -201,6 +210,25 @@ def test_anderson_steps_beat_plain_ascent_on_a_singular_family(step_calls):
         scale = max(np.abs(sym).max(), 1.0)
         assert np.abs(sym - sym.T).max() <= 1e-4 * scale
         assert np.linalg.eigvalsh((sym + sym.T) / 2)[0] >= -1e-8 * scale
+
+
+def test_anderson_window_holds_at_most_depth_plus_one_sweeps(monkeypatch, step_calls):
+    # the first step waits for _ANDERSON_DEPTH + 1 plain sweeps, and no
+    # window passed to a step holds more: the steps' memory bound
+    rng = np.random.default_rng(12)
+    prob = BarycenterProblem(tuple(rand_psd(rng, 20, 8) for _ in range(5)), (0.2,) * 5)
+    updates, align = [], barycenter._align_thin
+
+    def counted(*args):
+        updates.append(len(step_calls))  # steps tried before this update
+        return align(*args)
+
+    monkeypatch.setattr(barycenter, "_align_thin", counted)
+    solve_bcd(prob)
+    assert step_calls
+    assert updates.count(0) >= (barycenter._ANDERSON_DEPTH + 1) * prob.size
+    for _, _, xs, rs in step_calls:
+        assert len(xs) == len(rs) <= barycenter._ANDERSON_DEPTH + 1
 
 
 def test_full_rank_family_takes_no_step(step_calls):
@@ -231,8 +259,9 @@ def test_worse_step_is_rejected(monkeypatch):
     res = solve_bcd(prob)
     assert len(windows) > 1
     # a rejection drops the window back to its last sweep, so the next step
-    # waits for two new sweeps
+    # waits for _ANDERSON_DEPTH new sweeps
     assert all(b[0] is a[-1] for a, b in zip(windows, windows[1:]))
+    assert all(len(w) == barycenter._ANDERSON_DEPTH + 1 for w in windows)
     assert res.iterations == ref_sweeps
     assert res.objective_history == tuple(ref_hist)
     assert all(g.tobytes() == r.tobytes() for g, r in zip(res.greens, ref_greens))
