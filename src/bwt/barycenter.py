@@ -26,9 +26,9 @@ import numpy as np
 from .errors import InvalidInput, NumericalInconsistency, PreconditionFailed
 from .linalg import (
     CovMatrix,
-    GreenFactor,
     _align_thin,
     _check_pair,
+    _live_eigs,
     _psd_apply,
     _sym,
     _thin_factor,
@@ -203,17 +203,15 @@ def solve_bcd(
         Stop when a full sweep improves the objective by less than this;
         defaults to 1e-10 times the weighted trace of the family.
     seed : int, optional
-        When given, each starting factor is the staggered spectral one
-        rotated on the right by an independent Haar-distributed orthogonal
-        matrix, which randomizes the ascent path; the default start is
-        deterministic.
+        When given, each member's root start is rotated on the right by an
+        independent Haar-distributed orthogonal matrix, which randomizes the
+        ascent path; the default start is deterministic.
 
-    The default start is the spectral factors, staggered: member i's padded
-    factor is rolled right by the summed numeric ranks of the members before
-    it (mod n).  Unstaggered, every singular member would start in the same
-    first columns, a set that every update maps into itself: a saddle that
-    the ascent leaves only through roundoff, if at all.  Full-rank members
-    roll by multiples of n, so their start is the spectral factor itself.
+    The default start is the members' square roots U_r sqrt(lambda_r) U_r^T,
+    from the spectra that give their thin factors.  Commuting members' roots
+    are aligned: the start is then the barycenter (sum_i p_i a_i^(1/2))^2.
+    A root's rows span its member's range, so singular members do not share
+    one rank-r row space, a set every update maps into itself (a saddle).
 
     Every single-factor update maximizes the objective in that coordinate,
     so ``objective_history`` is nondecreasing up to roundoff; each costs one
@@ -240,18 +238,13 @@ def solve_bcd(
         zeros = np.zeros((problem.n, problem.n))
         return _result_from_greens(problem, [zeros] * problem.size, 0, True)
 
-    # one spectrum lookup per member: a family larger than the decomposition
-    # cache would otherwise decompose its members again
-    thins = [_thin_factor(c) for c in problem.covs]
+    # one decomposition per member, even in a family larger than the cache
     rng = np.random.default_rng(seed) if seed is not None else None
-    greens = []
-    offset = 0
-    for f in thins:
-        g = np.roll(GreenFactor(g=f, parent_dim=problem.n).padded(), offset, axis=1)
-        offset += f.shape[1]
-        if rng is not None:
-            g = g @ _haar_rotation(problem.n, rng)
-        greens.append(g)
+    thins, greens = [], []
+    for c in problem.covs:
+        thins.append(_thin_factor(c))
+        g = thins[-1] @ _live_eigs(c)[1].T  # the spectrum _thin_factor just cached
+        greens.append(g if rng is None else g @ _haar_rotation(problem.n, rng))
 
     g_hat = _mean_factor(problem, greens)
     objective = float(np.linalg.norm(g_hat) ** 2)

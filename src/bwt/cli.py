@@ -87,6 +87,11 @@ def _write_json(obj, out: list) -> None:
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(obj))
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == float:
+        if not np.isfinite(obj).all():
+            raise InvalidInput("cannot serialize a non-finite number")
+        row = "[" + ",".join(["%.17g"] * obj.shape[1]) + "]"  # the nested lists' bytes
+        out.append("[" + ",".join(row % tuple(r) for r in obj.tolist()) + "]")
     elif isinstance(obj, str):
         out.append('"')
         for ch in obj:
@@ -158,16 +163,17 @@ def read_matrix(path: str) -> np.ndarray:
 
     try:
         mat = np.array(payload, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
         raise InvalidInput(f"{path}: matrix entries must be numbers")
     if mat.ndim != 2 or mat.size == 0:
         raise InvalidInput(f"{path}: matrix payload must be a nonempty 2-d array")
+    if not {type(x) for row in payload for x in row} <= {int, float}:  # np.array takes "0", true
+        raise InvalidInput(f"{path}: matrix entries must be numbers")
     return mat
 
 
 def write_matrix(path: str, mat: np.ndarray) -> None:
-    rows = [[float(v) for v in row] for row in np.asarray(mat, dtype=float)]
-    write_json_file(path, {"matrix": rows})
+    write_json_file(path, {"matrix": np.asarray(mat, dtype=float)})
 
 
 def _load_cov(path: str, tol_rel: float) -> CovMatrix:

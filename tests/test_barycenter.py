@@ -12,13 +12,13 @@ from bwt import (
     barycenter,
     fixed_point_residual,
     frechet_variance,
-    green_factor,
     hierarchical_closed_form,
     multicoupling_kernel,
     numeric_rank,
     orthogonal_closed_form,
     ranges_orthogonal,
     solve_bcd,
+    spectral_decompose,
 )
 from conftest import rand_psd
 
@@ -142,8 +142,9 @@ def test_fixed_point_residual_rejects_a_candidate_of_another_dimension():
 @pytest.mark.parametrize("n,k,r", [(12, 4, 3), (20, 5, 8), (30, 6, 10)])
 def test_default_start_leaves_the_singular_saddle(n, k, r):
     # Rank-r members all started in the same r columns would hold the ascent
-    # on a rank-r saddle; the staggered start must reach the best objective
-    # of the random starts, and a barycenter of rank above r.
+    # on a rank-r saddle; the root start, whose columns span each member's
+    # own range, must reach the best objective of the random starts, and a
+    # barycenter of rank above r.
     for seed in range(3):
         rng = np.random.default_rng(seed)
         prob = BarycenterProblem(tuple(rand_psd(rng, n, r) for _ in range(k)), (1.0 / k,) * k)
@@ -153,13 +154,33 @@ def test_default_start_leaves_the_singular_saddle(n, k, r):
         assert numeric_rank(res.a_hat) > r
 
 
+def test_commuting_family_converges_in_one_sweep():
+    # members Q D_i Q^T share an eigenbasis, so their square roots are
+    # already aligned: the root start is the barycenter (sum_i p_i a_i^(1/2))^2
+    # and the first sweep gains nothing
+    rng = np.random.default_rng(23)
+    n, k = 12, 4
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    diags = rng.uniform(0.5, 2.5, size=(k, n))
+    diags[0, :5] = 0.0
+    diags[2, 3:7] = 0.0
+    w = rng.uniform(0.2, 1.0, size=k)
+    prob = BarycenterProblem(tuple(CovMatrix((q * d) @ q.T) for d in diags), tuple(w / w.sum()))
+    root = q * (prob.weights @ np.sqrt(diags))
+    res = solve_bcd(prob)
+    assert res.converged
+    assert res.iterations == 1
+    assert np.abs(res.a_hat.data - root @ root.T).max() <= 1e-12
+
+
 def plain_ascent(prob):
     """Block-coordinate ascent from solve_bcd's default start and with its
     stopping rule, but without Anderson steps: (greens, history, sweeps)."""
-    greens, offset = [], 0
+    greens = []
     for c in prob.covs:
-        greens.append(np.roll(green_factor(c).g, offset, axis=1))
-        offset += numeric_rank(c)
+        dec = spectral_decompose(c)
+        u = dec.eigvecs[:, : dec.rank]
+        greens.append((u * np.sqrt(dec.eigvals[: dec.rank])) @ u.T)
     g_hat = np.zeros((prob.n, prob.n))
     for w, g in zip(prob.weights, greens):
         g_hat += w * g

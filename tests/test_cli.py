@@ -74,6 +74,8 @@ def test_distance_input_errors(tmp_path, capsys):
     ([[1.0, "x"], [0.0, 1.0]], "entries must be numbers"),
     ([[1.0, 0.0], [0.0]], "entries must be numbers"),  # ragged
     ([1.0, 0.0], "nonempty 2-d array"),
+    ([[1.0, "0"], [0.0, 1.0]], "entries must be numbers"),  # numeric string
+    ([[True, False], [False, True]], "entries must be numbers"),
 ])
 def test_matrix_payload_errors(tmp_path, capsys, payload, reason):
     a = write_mat(tmp_path, "a.json", A2)
@@ -82,6 +84,36 @@ def test_matrix_payload_errors(tmp_path, capsys, payload, reason):
         read_matrix(bad)
     assert main(["distance", a, bad]) == 2
     assert reason in capsys.readouterr().err
+
+
+def test_integer_entry_beyond_float_range_is_an_input_error(tmp_path, capsys):
+    # numpy raises OverflowError converting it, which escaped as exit 1
+    a = write_mat(tmp_path, "a.json", A2)
+    big = tmp_path / "big.json"
+    big.write_text('{"matrix": [[1' + "0" * 400 + ', 0], [0, 1]]}')
+    with pytest.raises(InvalidInput, match="entries must be numbers"):
+        read_matrix(str(big))
+    assert main(["distance", a, str(big)]) == 2
+    capsys.readouterr()
+
+
+def test_write_matrix_formats_each_entry_as_one_float(tmp_path):
+    rng = np.random.default_rng(9)
+    mat = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, size=(7, 5))
+    mat[0, :] = [0.0, -0.0, 5e-324, 1e-320, 1e308]
+    mat[1, :2] = [0.1, -0.1]
+    path = str(tmp_path / "m.json")
+    write_matrix(path, mat)
+    rows = ",".join("[" + ",".join(format(x, ".17g") for x in row) + "]" for row in mat.tolist())
+    assert Path(path).read_text() == '{"matrix":[' + rows + ']}\n'
+    assert np.array_equal(read_matrix(path), mat)  # "-0" reads back as 0
+    for bad in (np.nan, np.inf, -np.inf):
+        mat[3, 2] = bad
+        with pytest.raises(InvalidInput, match="non-finite"):
+            write_matrix(str(tmp_path / "bad.json"), mat)
+    for other in (np.ones(3), np.ones((2, 2, 2)), np.eye(2, dtype=int)):  # only matrices
+        with pytest.raises(InvalidInput, match="cannot serialize"):
+            dumps_canonical({"m": other})
 
 
 def test_csv_inputs(tmp_path, capsys):

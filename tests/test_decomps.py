@@ -301,6 +301,19 @@ def test_slowest_small_singular_family_svd_bound(count_decomps):
     assert worst <= 140
 
 
+def test_full_rank_families_svd_total(count_decomps):
+    # full-rank families take no Anderson step, so every SVD is a sweep's;
+    # over 20 seeded families of five 20 x 20 members the staggered spectral
+    # start took 700 SVDs, the members' square roots 500
+    total = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        prob = BarycenterProblem(tuple(rand_psd(rng, 20) for _ in range(5)), (0.2,) * 5)
+        count_decomps(solve_bcd, prob)
+        total += count_decomps.calls.count("svd")
+    assert total <= 500
+
+
 def test_pool_sessions_decompose_each_covariance_once(count_decomps):
     # every ordered-pair session over a pool of eight covariances: the pair
     # entries each session caches do not push the pool's spectra out
