@@ -28,10 +28,12 @@ from .linalg import (
     CovMatrix,
     _align_thin,
     _check_pair,
+    _joint_tol,
     _live_eigs,
     _psd_apply,
     _sym,
     _thin_factor,
+    _tol_bound,
     _trace_fidelity,
     psd_function,
 )
@@ -167,12 +169,15 @@ def _mean_factor(problem: BarycenterProblem, greens) -> np.ndarray:
 
 
 def _result_from_greens(problem, greens, iterations, converged, history=None,
-                        thins=None) -> BarycenterResult:
+                        thins=None, g_hat=None) -> BarycenterResult:
     """The result for final factors ``greens``; without a ``history`` (a
     closed form) the history is the final objective alone.  ``thins``, when
-    given, are the members' thin factors."""
-    g_hat = _mean_factor(problem, greens)
-    a_hat = CovMatrix(g_hat @ g_hat.T, tol_rel=max(c.tol_rel for c in problem.covs))
+    given, are the members' thin factors.  ``g_hat``, when given, is the
+    ascent's running mean factor, whose objective ends the history; else
+    the mean is summed afresh."""
+    if g_hat is None:
+        g_hat = _mean_factor(problem, greens)
+    a_hat = CovMatrix(g_hat @ g_hat.T, tol_rel=_joint_tol(*problem.covs))
     objective = float(np.linalg.norm(g_hat) ** 2)
     return BarycenterResult(
         a_hat=a_hat,
@@ -227,9 +232,11 @@ def solve_bcd(
     the sweeps with steps.  The safeguard: a step is kept only when its
     objective is strictly above the sweep's; otherwise it is dropped, along
     with all but the last sweep in the window.  The stopping rule is
-    checked after every plain sweep, before any step, so the last update is
-    always a plain sweep and the returned factors are aligned as without
-    steps.  ``iterations`` counts plain sweeps only.
+    checked after every plain sweep, before any step, and no step follows
+    the last sweep ``max_iter`` allows, so the last update is always a
+    plain sweep and the returned factors are aligned as without steps.
+    ``iterations`` counts plain sweeps only, and ``objective`` is the last
+    entry of ``objective_history``, bit for bit.
     """
     scale = problem.weighted_trace()
     if tol_obj is None:
@@ -269,7 +276,7 @@ def solve_bcd(
             break
         rs.append([g - x for g, x in zip(greens, xs[-1])])
         del xs[:-_ANDERSON_DEPTH - 1], rs[:-_ANDERSON_DEPTH - 1]
-        if len(xs) <= _ANDERSON_DEPTH or gain <= 0.5 * prev_gain:
+        if len(xs) <= _ANDERSON_DEPTH or gain <= 0.5 * prev_gain or sweeps == max_iter:
             continue
         trial = _anderson_step(problem, thins, xs, rs)
         if trial is None:
@@ -281,7 +288,7 @@ def solve_bcd(
         else:
             del xs[:-1], rs[:-1]
 
-    return _result_from_greens(problem, greens, sweeps, converged, history, thins)
+    return _result_from_greens(problem, greens, sweeps, converged, history, thins, g_hat)
 
 
 def _anderson_step(problem, thins, xs, rs):
@@ -327,12 +334,7 @@ def ranges_orthogonal(covs) -> bool:
 
 def _ranges_meet(a: CovMatrix, b: CovMatrix) -> bool:
     """Whether ||a b|| exceeds the orthogonality slack for the pair."""
-    bound = (
-        ORTHO_TOL_FACTOR
-        * max(a.tol_rel, b.tol_rel)
-        * np.linalg.norm(a.data)
-        * np.linalg.norm(b.data)
-    )
+    bound = ORTHO_TOL_FACTOR * _joint_tol(a, b) * np.linalg.norm(a.data) * np.linalg.norm(b.data)
     return np.linalg.norm(a.data @ b.data) > bound
 
 
@@ -429,7 +431,7 @@ def hierarchical_closed_form(
         converged=all(r.converged for r in sub),
     )
     predicted = sum(q * q * r.objective for q, r in zip(outer, sub))
-    if abs(result.objective - predicted) > 1e-8 * (1.0 + result.objective):
+    if abs(result.objective - predicted) > _tol_bound(1e-8, result.objective):
         raise NumericalInconsistency(
             f"combined objective {result.objective:.12g} does not match the "
             f"orthogonal-split prediction {predicted:.12g}"

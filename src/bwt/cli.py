@@ -8,7 +8,9 @@ so identical inputs and configuration produce byte-identical files.
 
 Exit codes: 0 success, 2 input error, 3 unreachable pair, 4 no symmetric PSD
 map exists, 5 numerical inconsistency detected.  The environment variable
-BWT_TOL_REL overrides the default relative rank tolerance.
+BWT_TOL_REL overrides the default relative rank tolerance.  Only ``map``
+reads --tol-map, and ``gp`` reads neither --tol-rel nor BWT_TOL_REL; every
+subcommand still rejects a tolerance that is not finite and positive.
 """
 
 from __future__ import annotations
@@ -153,8 +155,8 @@ def read_matrix(path: str) -> np.ndarray:
         import json
 
         with open(path) as fh:
-            try:
-                doc = json.load(fh)
+            try:  # write_matrix writes -0.0 as "-0": read it back as -0.0
+                doc = json.load(fh, parse_int=lambda s: -0.0 if s == "-0" else int(s))
             except ValueError as exc:
                 raise InvalidInput(f"{path}: invalid JSON ({exc})")
         if not isinstance(doc, dict) or "matrix" not in doc:
@@ -448,9 +450,10 @@ def cmd_gp(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-rel", type=float, default=None,
-                        help="relative rank tolerance (default: BWT_TOL_REL or 1e-10)")
+                        help="relative rank tolerance (default: BWT_TOL_REL or 1e-10); "
+                        "gp reads neither")
     common.add_argument("--tol-map", type=float, default=DEFAULT_TOL_MAP,
-                        help="residual tolerance for map constructions")
+                        help="residual tolerance for map constructions; read by map only")
     common.add_argument("--json", default=None, metavar="PATH",
                         help="also write the run report as canonical JSON")
 

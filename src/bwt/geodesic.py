@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, InvalidParam, Unreachable
-from .linalg import CovMatrix, _live, _psd_from_eigh, _sym, _tol_bound, numeric_rank
+from .linalg import CovMatrix, _joint_tol, _live, _psd_from_eigh, _sym, _tol_bound, numeric_rank
 from .schur import schur_complement
 from .transport import DEFAULT_TOL_MAP, TransportMap, _core, is_reachable, w2_distance
 
@@ -70,7 +70,7 @@ class GeodesicPath:
         if not 0.0 <= t <= 1.0:
             raise InvalidParam(f"geodesic parameter must lie in [0, 1], got {t}")
         g_t = (1.0 - t) * self.g + t * self.m
-        return CovMatrix(g_t @ g_t.T, tol_rel=max(self.a.tol_rel, self.b.tol_rel))
+        return CovMatrix(g_t @ g_t.T, tol_rel=_joint_tol(self.a, self.b))
 
 
 def make_param(a: CovMatrix, b: CovMatrix, style: str = "extreme",
@@ -106,7 +106,7 @@ def make_param(a: CovMatrix, b: CovMatrix, style: str = "extreme",
             raise Unreachable("Monge-directed geodesic parameters need rank(a) >= rank(b)")
         n12 = s_val * (core.deterministic_u12() @ root)
     m22 = np.sqrt(max(1.0 - s_val * s_val, 0.0)) * root
-    kind = "monge" if _is_zero(m22, b) else "interior"
+    kind = "monge" if _is_zero(m22, b, DEFAULT_TOL_MAP) else "interior"
     return GeodesicParam(n12=n12, m22=m22, kind=kind)
 
 
@@ -116,7 +116,8 @@ def raw_param(a: CovMatrix, b: CovMatrix, n12: np.ndarray,
 
     Admissibility requires b11^(1/2) g11 n12 = 0 and n12.T n12 dominated by
     the Schur complement of (a, b); the free factor block is completed with
-    the symmetric PSD square root of the leftover.
+    the symmetric PSD square root of the leftover.  ``tol_map`` bounds both
+    tests and decides ``kind``: "monge" when that root is zero within it.
     """
     core = _core(a, b)
     n12 = np.asarray(n12, dtype=float)
@@ -129,15 +130,15 @@ def raw_param(a: CovMatrix, b: CovMatrix, n12: np.ndarray,
     m22 = _sym(core.schur - n12.T @ n12)
     if core.n2:
         w, u = np.linalg.eigh(m22)
-        if w[0] < -tol_map * max(float(np.linalg.norm(core.schur)), 1.0):
+        if w[0] < -_tol_bound(tol_map, core.schur):
             raise InvalidParam("n12.T n12 exceeds the Schur complement of the pair")
         m22 = _psd_from_eigh(w, u, np.sqrt, _live(w, core.tol * max(w[-1], 0.0)))
-    kind = "monge" if _is_zero(m22, b) else "interior"
+    kind = "monge" if _is_zero(m22, b, tol_map) else "interior"
     return GeodesicParam(n12=n12, m22=m22, kind=kind)
 
 
-def _is_zero(m22: np.ndarray, b: CovMatrix) -> bool:
-    return float(np.linalg.norm(m22)) <= _tol_bound(DEFAULT_TOL_MAP, b.data)
+def _is_zero(m22: np.ndarray, b: CovMatrix, tol_map: float) -> bool:
+    return float(np.linalg.norm(m22)) <= _tol_bound(tol_map, b.data)
 
 
 def green_pair(a: CovMatrix, b: CovMatrix, param: GeodesicParam):
@@ -203,7 +204,7 @@ def classify_point(a: CovMatrix, b: CovMatrix, gamma: CovMatrix,
     d = w2_distance(a, b)
     d1 = w2_distance(a, gamma)
     d2 = w2_distance(gamma, b)
-    tol = MEMBERSHIP_TOL * (1.0 + d)
+    tol = _tol_bound(MEMBERSHIP_TOL, d)
     if abs(d1 - t * d) > tol or abs(d2 - (1.0 - t) * d) > tol:
         raise InvalidParam(
             f"not a geodesic point: w2 splits as {d1:.6g} + {d2:.6g} "

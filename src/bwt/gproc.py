@@ -199,9 +199,9 @@ def cross_gram_certificate(g1: DiscretizedOperator, g2: DiscretizedOperator) -> 
     asymmetry = float(np.linalg.norm(c - c.T))
     w = np.linalg.eigvalsh((c + c.T) / 2.0)
     min_eig = float(w[0])
-    if asymmetry > GRAM_TOL * max(scale, 1e-300):
+    if asymmetry > GRAM_TOL * scale:
         kind = "asymmetric"
-    elif min_eig >= -GRAM_TOL * max(scale, 1e-300):
+    elif min_eig >= -GRAM_TOL * scale:
         kind = "psd"
     else:
         kind = "symmetric_not_psd"

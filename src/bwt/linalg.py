@@ -1,9 +1,22 @@
 """Validated covariance matrices, spectral helpers, and Green factorizations.
 
-Every rank decision in the package goes through the same relative threshold:
-an eigenvalue counts as nonzero when it exceeds ``tol_rel * lambda_max`` (for
-singular values, ``tol_rel * sigma_max``).  The tolerance travels with each
-:class:`CovMatrix`, so callers pick it once at construction time.
+Every threshold in the package takes one of two forms, both spelled here:
+
+- relative, ``value > tol * scale`` (:func:`_live`, :func:`_rank`), for rank
+  cuts and input validation.  An eigenvalue counts as nonzero when it
+  exceeds ``tol_rel * lambda_max`` (for singular values, ``tol_rel *
+  sigma_max``); a matrix is symmetric when ``max |a - a.T|`` is at most
+  ``tol_rel * ||a||_F``.  A zero scale needs no floor: the value tested is
+  then zero too and fails the strict test.
+- absolute near zero, ``value <= tol * (1 + scale)`` (:func:`_tol_bound`),
+  for residuals and "is zero" tests, such as a vanishing Schur complement
+  or a transport residual.
+
+The rank tolerance travels with each :class:`CovMatrix`, so callers pick it
+once at construction time.  Work on several covariances (a pair, a
+coupling, a barycenter) cuts at their joint tolerance, the largest of their
+``tol_rel`` (:func:`_joint_tol`).  Residual tests take their tolerance from
+the caller (``tol_map``) or from a module constant.
 
 A :class:`CovMatrix` holds the symmetrized input as given: validation
 rejects eigenvalues below ``-tol_rel * lambda_max`` but clamps and rebuilds
@@ -121,9 +134,15 @@ def _null_basis(k: np.ndarray, cut: float) -> np.ndarray:
     return vt[_rank(sdiag, cut) :].T
 
 
-def _tol_bound(tol: float, m: np.ndarray) -> float:
-    """``tol * (1 + ||m||_F)``: relative to the scale of ``m``, absolute near zero."""
-    return tol * (1.0 + float(np.linalg.norm(m)))
+def _tol_bound(tol: float, scale) -> float:
+    """``tol * (1 + scale)``, for ``scale`` a norm or an array (its Frobenius
+    norm): relative to the scale when it is large, absolute near zero."""
+    return tol * (1.0 + float(np.linalg.norm(scale) if isinstance(scale, np.ndarray) else scale))
+
+
+def _joint_tol(*covs: CovMatrix) -> float:
+    """The rank tolerance of work on several covariances: the loosest of theirs."""
+    return max(c.tol_rel for c in covs)
 
 
 def _check_pair(a: CovMatrix, b: CovMatrix) -> None:
@@ -163,7 +182,7 @@ class CovMatrix:
             raise InvalidInput("matrix contains non-finite entries")
         scale = np.linalg.norm(data)
         asym = np.abs(data - data.T).max()
-        if asym > self.tol_rel * max(scale, 1e-300):
+        if asym > self.tol_rel * scale:
             raise InvalidInput(
                 f"matrix is asymmetric: max |a - a.T| = {asym:.3e} "
                 f"exceeds {self.tol_rel:.1e} * ||a|| = {self.tol_rel * scale:.3e}"
@@ -224,9 +243,15 @@ class GreenFactor:
         return out
 
 
+def _factor_array(g) -> np.ndarray:
+    """A GreenFactor as its square array, or a plain array as floats: every
+    public function that takes a factor accepts both."""
+    return g.padded() if isinstance(g, GreenFactor) else np.asarray(g, dtype=float)
+
+
 def _as_reference(g) -> np.ndarray:
     """Accept a GreenFactor or a plain array as an alignment reference."""
-    mat = g.padded() if isinstance(g, GreenFactor) else np.asarray(g, dtype=float)
+    mat = _factor_array(g)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidInput(f"reference factor must be square, got shape {mat.shape}")
     return mat
@@ -414,5 +439,5 @@ def _fidelity(a: CovMatrix, b: CovMatrix, f: np.ndarray | None = None) -> float:
     # Eigenvalues of f.T b f below the pair's noise floor are dropped before
     # the square root: sqrt amplifies an O(eps)-sized eigenvalue to O(
     # sqrt(eps)), which would otherwise dominate the error in the sum.
-    w = np.where(_live(w, max(a.tol_rel, b.tol_rel) * a.lam_max * b.lam_max), w, 0.0)
+    w = np.where(_live(w, _joint_tol(a, b) * a.lam_max * b.lam_max), w, 0.0)
     return float(np.sqrt(w).sum())

@@ -28,6 +28,8 @@ from .linalg import (
     CovMatrix,
     GreenFactor,
     _check_pair,
+    _factor_array,
+    _joint_tol,
     _memoized,
     _null_basis,
     _psd_apply,
@@ -98,7 +100,7 @@ def block_decompose(a: CovMatrix, b) -> BlockView:
     if isinstance(b, CovMatrix):
         return _memoized("blocks", (a, b), lambda: _split(a, b_mat))
     scale = np.linalg.norm(b_mat)
-    if np.abs(b_mat - b_mat.T).max() > a.tol_rel * max(scale, 1e-300):
+    if np.abs(b_mat - b_mat.T).max() > a.tol_rel * scale:
         raise InvalidInput("b is asymmetric beyond tolerance")
     return _split(a, _sym(b_mat))
 
@@ -145,7 +147,7 @@ def _schur_complement(a: CovMatrix, b: CovMatrix) -> SchurResult:
     if numeric_rank(a) == a.n:  # null(a) is empty, and so is the complement
         return SchurResult(value=np.zeros((a.n, a.n)), rank=0, path_residual=0.0)
     bv = block_decompose(a, b)
-    tol = max(a.tol_rel, b.tol_rel)
+    tol = _joint_tol(a, b)
 
     # route 1: defining formula in block coordinates
     w = _psd_apply(bv.b11, "pinv_sqrt", tol) @ bv.b12
@@ -177,7 +179,7 @@ def _projection_route(a: CovMatrix, b: CovMatrix, q2: np.ndarray) -> np.ndarray:
     null(f_a^T f_b).  f_a^T f_b has the singular values of g^T b^(1/2), so it
     is cut where g^T b^(1/2) was.
     """
-    tol = max(a.tol_rel, b.tol_rel)
+    tol = _joint_tol(a, b)
     f_b = _thin_factor(b)
     v_null = _null_basis(_thin_factor(a).T @ f_b, tol * np.sqrt(a.lam_max * b.lam_max))
     y = q2.T @ f_b @ v_null
@@ -187,17 +189,15 @@ def _projection_route(a: CovMatrix, b: CovMatrix, q2: np.ndarray) -> np.ndarray:
 def schur_rank_identity(a: CovMatrix, b: CovMatrix, g: GreenFactor | None = None) -> tuple[int, int]:
     """Both sides of rank(b/a) = rank(b) - rank(g.T b g), evaluated independently.
 
-    ``g`` defaults to the spectral factor of a; any factor gives the same
-    right-hand side.
+    ``g`` (a GreenFactor or a plain square array) defaults to the spectral
+    factor of a; any factor gives the same right-hand side.
     """
-    if g is None:
-        g = green_factor(a)
-    g_mat = g.padded()
+    g_mat = _factor_array(green_factor(a) if g is None else g)
     if g_mat.shape != (a.n, a.n):
         raise InvalidInput(f"factor shape {g_mat.shape} does not match dimension {a.n}")
     lhs = schur_complement(a, b).rank
     w = np.linalg.eigvalsh(_sym(g_mat.T @ b.data @ g_mat))
-    tol = max(a.tol_rel, b.tol_rel)
+    tol = _joint_tol(a, b)
     # g.T b g lives on the scale lam_max(a) * lam_max(b); anchor the cut there
     # so an all-noise compression (range(b) inside null(a)) counts as rank 0.
     return lhs, numeric_rank(b) - _rank(w, tol * (a.lam_max * b.lam_max))

@@ -28,7 +28,9 @@ from .linalg import (
     CovMatrix,
     GreenFactor,
     _check_pair,
+    _factor_array,
     _fix_signs,
+    _joint_tol,
     _live,
     _live_eigs,
     _memoized,
@@ -129,7 +131,7 @@ class _Core:
     never kept, so a context holds no n x n array of it."""
 
     def __init__(self, a: CovMatrix, b: CovMatrix):
-        self.tol = max(a.tol_rel, b.tol_rel)
+        self.tol = _joint_tol(a, b)
         self.bv: BlockView = block_decompose(a, b)
         self.n = a.n
         self.r = self.bv.rank
@@ -199,9 +201,9 @@ class _Core:
     def check_in_null(self, m: np.ndarray, name: str, tol_map: float) -> None:
         """Raise InvalidParam unless the range of ``m`` lies in
         null(b11^(1/2) g11), tested as ||b11^(1/2) g11 m|| = ||x^(1/2) m||
-        = ||diag(s) u.T m|| against ||x^(1/2)||_F ||m||."""
-        scale = max(float(np.linalg.norm(self.s)), 1.0) * max(float(np.linalg.norm(m)), 1.0)
-        if np.linalg.norm(self.s[:, None] * (self.u.T @ m)) > tol_map * scale:
+        = ||diag(s) u.T m|| against the scale ||x^(1/2)||_F ||m||."""
+        bound = _tol_bound(tol_map, np.linalg.norm(self.s) * np.linalg.norm(m))
+        if np.linalg.norm(self.s[:, None] * (self.u.T @ m)) > bound:
             raise InvalidParam(f"{name} range is not inside null(b11^(1/2) g11)")
 
     def deterministic_u12(self) -> np.ndarray:
@@ -277,7 +279,7 @@ def pusz_woronowicz(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MAP
         raise NotInvertible("source covariance is singular; no inverse square root")
     root = psd_function(a, "sqrt")
     inv_root = psd_function(a, "pinv_sqrt")
-    mid = _psd_apply(_sym(root @ b.data @ root), "sqrt", max(a.tol_rel, b.tol_rel))
+    mid = _psd_apply(_sym(root @ b.data @ root), "sqrt", _joint_tol(a, b))
     t = _sym(inv_root @ mid @ inv_root)
     return _checked_map(a, b, t, t, np.zeros((0, a.n)), np.zeros((a.n, 0)), "none", tol_map)
 
@@ -415,7 +417,7 @@ def _criterion_one(core: _Core, tol_map: float, tol_abs: float) -> np.ndarray | 
     b_q = np.block([[bv.b11, bv.b12], [bv.b21, bv.b22]])
     if np.linalg.norm((blk * core.lam) @ blk.T - b_q) > tol_abs:
         return None
-    if np.linalg.eigvalsh(blk)[0] < -tol_map * max(float(np.abs(blk).max()), 1.0):
+    if np.linalg.eigvalsh(blk)[0] < -_tol_bound(tol_map, np.abs(blk).max()):
         return None
     return blk
 
@@ -509,7 +511,7 @@ def optimal_coupling(a: CovMatrix, b: CovMatrix, param) -> CovMatrix:
     c[n:, n:] = b.data
     c[:n, n:] = g @ m.T
     c[n:, :n] = c[:n, n:].T
-    return CovMatrix(c, tol_rel=max(a.tol_rel, b.tol_rel))
+    return CovMatrix(c, tol_rel=_joint_tol(a, b))
 
 
 def dual_conjugate(g: GreenFactor, m: GreenFactor, y, tol_map: float = DEFAULT_TOL_MAP):
@@ -525,14 +527,13 @@ def dual_conjugate(g: GreenFactor, m: GreenFactor, y, tol_map: float = DEFAULT_T
     InvalidParam
         If g.T m is not symmetric PSD within tolerance (misaligned factors).
     """
-    g_mat = g.padded() if isinstance(g, GreenFactor) else np.asarray(g, dtype=float)
-    m_mat = m.padded() if isinstance(m, GreenFactor) else np.asarray(m, dtype=float)
+    g_mat, m_mat = _factor_array(g), _factor_array(m)
     y = np.asarray(y, dtype=float).reshape(-1)
     if g_mat.shape != m_mat.shape or y.shape[0] != g_mat.shape[0]:
         raise InvalidInput("factor/vector dimensions do not match")
 
     gram = g_mat.T @ m_mat
-    scale = max(float(np.abs(gram).max()), 1e-300)
+    scale = float(np.abs(gram).max())
     if np.abs(gram - gram.T).max() > tol_map * scale:
         raise InvalidParam("g.T m is not symmetric; factors are not aligned")
     w, u = np.linalg.eigh(_sym(gram))

@@ -98,6 +98,7 @@ def test_history_monotone_and_factors_aligned():
         assert all(b >= a - 1e-12 for a, b in zip(hist, hist[1:]))
         assert res.converged
         assert hist[-1] == pytest.approx(res.objective, abs=1e-12)
+        assert res.objective == hist[-1]  # the running mean's, bit for bit
         # a properly aligned family: g_hat^T g_i is symmetric PSD for each i.
         # The symmetry defect scales like the square root of the stopping
         # tolerance (the objective is quadratic around the optimum), so at
@@ -231,6 +232,12 @@ def test_anderson_steps_beat_plain_ascent_on_a_singular_family(step_calls):
         scale = max(np.abs(sym).max(), 1.0)
         assert np.abs(sym - sym.T).max() <= 1e-4 * scale
         assert np.linalg.eigvalsh((sym + sym.T) / 2)[0] >= -1e-8 * scale
+    # a run cut by max_iter takes no step after its last sweep, so it too
+    # ends on the objective of its last update
+    for max_iter in range(1, res.iterations):
+        cut = solve_bcd(prob, max_iter=max_iter)
+        assert not cut.converged
+        assert cut.objective == cut.objective_history[-1]
 
 
 def test_anderson_window_holds_at_most_depth_plus_one_sweeps(monkeypatch, step_calls):

@@ -106,7 +106,8 @@ def test_write_matrix_formats_each_entry_as_one_float(tmp_path):
     write_matrix(path, mat)
     rows = ",".join("[" + ",".join(format(x, ".17g") for x in row) + "]" for row in mat.tolist())
     assert Path(path).read_text() == '{"matrix":[' + rows + ']}\n'
-    assert np.array_equal(read_matrix(path), mat)  # "-0" reads back as 0
+    assert np.array_equal(read_matrix(path), mat)
+    assert read_matrix(path).tobytes() == mat.tobytes()  # "-0" reads back as -0.0
     for bad in (np.nan, np.inf, -np.inf):
         mat[3, 2] = bad
         with pytest.raises(InvalidInput, match="non-finite"):

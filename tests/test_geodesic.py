@@ -140,6 +140,18 @@ def test_raw_param_accepts_admissible_and_rejects_bad_blocks():
         raw_param(A3, B3, np.array([[1.0], [0.0]]))
 
 
+def test_raw_param_decides_kind_under_the_callers_tolerance():
+    # n12 just short of the extreme one leaves ||m22|| = 1.4e-6: zero under
+    # tol_map = 1e-4, which checked the block, but not under the default
+    a = CovMatrix(np.diag([1.0, 1.0, 0.0]))
+    b = CovMatrix(np.diag([1.0, 0.0, 1.0]))
+    n12 = (1.0 - 1e-12) * make_param(a, b).n12
+    loose = raw_param(a, b, n12, tol_map=1e-4)
+    assert np.linalg.norm(loose.m22) == pytest.approx(1.4e-6, rel=0.05)
+    assert loose.kind == "monge"
+    assert raw_param(a, b, n12).kind == "interior"
+
+
 def test_constant_speed_on_seeded_pairs_and_styles():
     rng = np.random.default_rng(33)
     ts = np.linspace(0.0, 1.0, 5)

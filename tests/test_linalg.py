@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bwt
 from bwt import (
     CovMatrix,
     GreenFactor,
@@ -330,3 +334,43 @@ def test_green_factor_padded_roundtrip():
     assert padded.shape == (2, 2)
     assert np.array_equal(padded[:, 0], [1.0, 2.0])
     assert np.array_equal(padded[:, 1], [0.0, 0.0])
+
+
+def _threshold_spellings(tree: ast.AST):
+    """The threshold forms that only bwt.linalg may spell, as (line, form):
+    a 1e-300 floor, a max(..., 1.0) floor, a tol * (1 + ...) bound and a max
+    over tol_rel attributes."""
+
+    def is_one(node):
+        return isinstance(node, ast.Constant) and node.value == 1
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value == 1e-300:
+            yield node.lineno, "1e-300"
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "max":
+            if len(node.args) > 1 and is_one(node.args[-1]):
+                yield node.lineno, "max(..., 1.0)"
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "tol_rel"
+                   for arg in node.args for sub in ast.walk(arg)):
+                yield node.lineno, "max(...tol_rel...)"
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            for side in (node.left, node.right):
+                if (isinstance(side, ast.BinOp) and isinstance(side.op, ast.Add)
+                        and (is_one(side.left) or is_one(side.right))):
+                    yield node.lineno, "tol * (1 + ...)"
+
+
+def test_threshold_forms_are_spelled_only_in_linalg():
+    # every threshold is tol * scale or linalg._tol_bound's tol * (1 + scale),
+    # and work on several covariances cuts at linalg._joint_tol
+    src = Path(bwt.__file__).parent
+    found = [
+        f"{path.name}:{line}: {form}"
+        for path in sorted(src.glob("*.py")) if path.name != "linalg.py"
+        for line, form in _threshold_spellings(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    # the detector sees each form
+    probe = "max(a, 1e-300); max(a, 1.0); tol * (1.0 + d); max(a.tol_rel, b.tol_rel)"
+    assert sorted(form for _, form in _threshold_spellings(ast.parse(probe))) == [
+        "1e-300", "max(..., 1.0)", "max(...tol_rel...)", "tol * (1 + ...)"]

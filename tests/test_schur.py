@@ -120,6 +120,10 @@ def test_schur_rank_identity_hand_values():
     a = CovMatrix(np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(InvalidInput, match="factor shape"):
         schur_rank_identity(a, a, GreenFactor(np.eye(2), 2))
+    # a plain square array is a factor too, as in align_green and dual_conjugate
+    assert schur_rank_identity(A3, C3, green_factor(A3).g.copy()) == (1, 1)
+    with pytest.raises(InvalidInput, match="factor shape"):
+        schur_rank_identity(a, a, np.eye(2))
 
 
 def test_block_view_is_read_only_and_shared():
