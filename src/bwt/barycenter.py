@@ -19,6 +19,7 @@ the a_i are singular).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +192,19 @@ def _result_from_greens(problem, greens, iterations, converged, history=None,
     )
 
 
+def _check_limits(max_iter, tol_obj) -> None:
+    """Raise InvalidInput unless ``max_iter`` is an integer >= 0 (not a bool)
+    and ``tol_obj`` is None or finite and >= 0: a negative count would
+    return the start unswept, and a NaN or negative tolerance would never
+    stop the ascent."""
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
+            or max_iter < 0):
+        raise InvalidInput(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    if tol_obj is not None and not (isinstance(tol_obj, numbers.Real)
+                                    and 0.0 <= tol_obj < np.inf):
+        raise InvalidInput(f"tol_obj must be finite and >= 0, got {tol_obj!r}")
+
+
 def solve_bcd(
     problem: BarycenterProblem,
     max_iter: int = 500,
@@ -202,11 +216,12 @@ def solve_bcd(
     Parameters
     ----------
     max_iter : int
-        Maximum number of full sweeps over the family; Anderson steps do not
-        count.
+        Maximum number of full sweeps over the family, at least 0; Anderson
+        steps do not count.  At 0 the start is returned, not converged.
     tol_obj : float, optional
-        Stop when a full sweep improves the objective by less than this;
-        defaults to 1e-10 times the weighted trace of the family.
+        Stop when a full sweep improves the objective by less than this
+        finite, nonnegative amount; defaults to 1e-10 times the weighted
+        trace of the family.
     seed : int, optional
         When given, each member's root start is rotated on the right by an
         independent Haar-distributed orthogonal matrix, which randomizes the
@@ -238,6 +253,7 @@ def solve_bcd(
     ``iterations`` counts plain sweeps only, and ``objective`` is the last
     entry of ``objective_history``, bit for bit.
     """
+    _check_limits(max_iter, tol_obj)
     scale = problem.weighted_trace()
     if tol_obj is None:
         tol_obj = 1e-10 * scale
@@ -387,6 +403,9 @@ def hierarchical_closed_form(
 
     Raises
     ------
+    InvalidInput
+        From :func:`solve_bcd`, if ``max_iter`` or ``tol_obj`` is one it
+        refuses.
     PreconditionFailed
         If two covariances in different groups have non-orthogonal ranges.
     """

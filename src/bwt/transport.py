@@ -253,7 +253,8 @@ def _checked_map(a: CovMatrix, b: CovMatrix, t, t11, t21, u12, tag: str,
     """Wrap a map with its transport and optimality residuals; a transport
     residual above ``tol_map * (1 + ||b||)`` raises NumericalInconsistency."""
     res_t = float(np.linalg.norm(t @ a.data @ t.T - b.data))
-    res_o = abs(float(np.trace(a.data @ t)) - trace_fidelity(a, b))
+    # tr(a t) as the sum of a_ij t_ji: no n x n product for one scalar
+    res_o = abs(float(np.einsum("ij,ji->", a.data, t)) - trace_fidelity(a, b))
     if res_t > _tol_bound(tol_map, b.data):
         raise NumericalInconsistency(
             f"transport residual {res_t:.3e} exceeds {tol_map:.1e} * (1 + ||b||)"
@@ -443,6 +444,10 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     ||blk diag(lambda) blk.T - q.T b q||_F and its least eigenvalue that of
     blk.  Only a map that passes is assembled, as the witness q blk q.T,
     the map :func:`canonical_spd_map` returns.
+
+    When rank(a) < rank(b) the ranks settle criteria 4 and 5, and both
+    fail without a singular value: rank(b a) <= rank(a) < rank(b), and
+    dim range(b) + dim null(a) > n.  Criteria 1-3 are evaluated as always.
     """
     core = _core(a, b)
     tol_abs = _tol_bound(tol_map, b.data)
@@ -457,22 +462,26 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     # 3. norm of the independently computed Schur complement
     schur_zero = float(np.linalg.norm(schur_complement(a, b).value)) <= tol_abs
 
-    # 4. rank(b) == rank(b a), both via singular values.  On the live
-    # eigenpairs b a = U_b (L_b U_b^T U_a L_a) U_a^T, so sigma(b a) is that of
-    # the rank(b) x rank(a) middle factor.  Its cut is anchored at
-    # lam_max(a) lam_max(b) so an all-noise product has rank 0.
-    (w_a, u_a), (w_b, u_b) = _live_eigs(a), _live_eigs(b)
-    sv = np.linalg.svd((u_b * w_b).T @ (u_a * w_a), compute_uv=False)
-    range_eq = numeric_rank(b) == _rank(sv, core.tol * core.lam_a * core.lam_b)
+    # 4 and 5 both fail by the ranks alone when rank(a) < rank(b)
+    if numeric_rank(a) < numeric_rank(b):
+        range_eq = trivial_intersection = False
+    else:
+        # 4. rank(b) == rank(b a), both via singular values.  On the live
+        # eigenpairs b a = U_b (L_b U_b^T U_a L_a) U_a^T, so sigma(b a) is
+        # that of the rank(b) x rank(a) middle factor.  Its cut is anchored
+        # at lam_max(a) lam_max(b) so an all-noise product has rank 0.
+        (w_a, u_a), (w_b, u_b) = _live_eigs(a), _live_eigs(b)
+        sv = np.linalg.svd((u_b * w_b).T @ (u_a * w_a), compute_uv=False)
+        range_eq = numeric_rank(b) == _rank(sv, core.tol * core.lam_a * core.lam_b)
 
-    # 5. principal angles between range(b), spanned by the live u_b of
-    # criterion 4, and null(a)
-    q2 = core.bv.q2
-    trivial_intersection = (
-        u_b.shape[1] == 0
-        or q2.shape[1] == 0
-        or _rank(np.linalg.svd(u_b.T @ q2, compute_uv=False), 1.0 - INTERSECT_TOL) == 0
-    )
+        # 5. principal angles between range(b), spanned by the live u_b of
+        # criterion 4, and null(a)
+        q2 = core.bv.q2
+        trivial_intersection = (
+            u_b.shape[1] == 0
+            or q2.shape[1] == 0
+            or _rank(np.linalg.svd(u_b.T @ q2, compute_uv=False), 1.0 - INTERSECT_TOL) == 0
+        )
 
     flags = (spd_exists, as_unique, schur_zero, range_eq, trivial_intersection)
     if len(set(flags)) != 1:

@@ -370,6 +370,30 @@ def test_hierarchical_matches_flat_ascent():
                                                   abs=1e-6 * (1 + flat.frechet_variance))
 
 
+@pytest.mark.parametrize("limits", [
+    {"max_iter": -3}, {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True},
+    {"max_iter": "5"}, {"tol_obj": float("nan")}, {"tol_obj": -1.0},
+    {"tol_obj": float("inf")}, {"tol_obj": "1e-9"},
+])
+def test_solve_bcd_refuses_limits_it_cannot_honour(limits):
+    # a negative count returned the start unswept, a NaN or negative
+    # tolerance ran every sweep without converging, and a fractional count
+    # escaped as a TypeError
+    with pytest.raises(InvalidInput, match="max_iter|tol_obj"):
+        solve_bcd(MIDPOINT, **limits)
+    g1 = BarycenterProblem((E1,), (1.0,))
+    g2 = BarycenterProblem((E2,), (1.0,))
+    with pytest.raises(InvalidInput, match="max_iter|tol_obj"):
+        hierarchical_closed_form([g1, g2], [0.5, 0.5], **limits)
+
+
+def test_solve_bcd_accepts_zero_sweeps_and_zero_tolerance():
+    # max_iter = 0 returns the start unconverged; numpy scalars are accepted
+    start = solve_bcd(MIDPOINT, max_iter=0)
+    assert (start.iterations, start.converged) == (0, False)
+    assert solve_bcd(MIDPOINT, max_iter=np.int64(3), tol_obj=np.float64(0.0)).iterations <= 3
+
+
 def test_hierarchical_validation():
     rng = np.random.default_rng(44)
     g1 = BarycenterProblem((block_cov(rng, 4, 0, 2, 2),), (1.0,))

@@ -293,6 +293,16 @@ def test_barycenter_weights(tmp_path, capsys):
         assert "finite and strictly positive" in capsys.readouterr().err
 
 
+def test_barycenter_refuses_a_negative_sweep_limit(tmp_path, capsys):
+    a = write_mat(tmp_path, "a.json", A2)
+    b = write_mat(tmp_path, "b.json", B2)
+    out = tmp_path / "bc.json"
+    assert main(["barycenter", a, b, "--max-iter", "-1", "--out", str(out)]) == 2
+    assert "max_iter" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["barycenter", a, b, "--max-iter", "0", "--out", str(out)]) == 0
+
+
 def test_gp_table_and_report(tmp_path, capsys):
     rep = str(tmp_path / "rep.json")
     assert main(["gp", "1", "2", "--m", "80", "--m", "160", "--json", rep]) == 0

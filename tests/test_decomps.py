@@ -114,7 +114,7 @@ def _fresh(pair):
 
 @pytest.fixture
 def count_decomps(monkeypatch):
-    calls, shapes, inputs = [], [], []
+    calls, shapes, inputs, options = [], [], [], []
     for name in ("eigh", "eigvalsh", "svd"):
         orig = getattr(np.linalg, name)
 
@@ -122,18 +122,20 @@ def count_decomps(monkeypatch):
             calls.append(_name)
             shapes.append(np.shape(m))
             inputs.append(m)
+            options.append(kwargs)
             return _orig(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
 
     def run(fn, *args):
-        del calls[:], shapes[:], inputs[:]
+        del calls[:], shapes[:], inputs[:], options[:]
         fn(*args)
         return len(calls)
 
     run.calls = calls  # the names of the last run's decompositions
     run.shapes = shapes  # and the shapes of what they decomposed
     run.inputs = inputs  # and the arrays themselves
+    run.options = options  # and the keyword arguments they were given
     return run
 
 
@@ -345,6 +347,18 @@ def test_pair_with_no_spd_map_makes_no_square_eigvalsh(count_decomps):
     count_decomps(lambda: reports.append(spd_reachability(a, b)))
     assert not reports[0].spd_exists
     assert ("eigvalsh", (30, 30)) not in zip(count_decomps.calls, count_decomps.shapes)
+
+
+def test_lower_rank_source_settles_criteria_four_and_five_by_ranks(count_decomps):
+    # the n = 30 pair reversed, rank 12 -> rank 20: rank(b a) <= rank(a) <
+    # rank(b) and range(b) meets null(a), so neither criterion takes a
+    # singular-value spectrum; 7 decompositions where both took 9
+    b, a = map(CovMatrix, PAIRS["n30"]())
+    reports = []
+    assert count_decomps(lambda: reports.append(spd_reachability(a, b))) <= 7
+    assert not reports[0].spd_exists
+    assert all(opts.get("compute_uv", True) for name, opts
+               in zip(count_decomps.calls, count_decomps.options) if name == "svd")
 
 
 def test_spectra_cache_is_bounded():

@@ -18,6 +18,7 @@ from bwt import (
     green_factor,
     is_reachable,
     make_param,
+    numeric_rank,
     optimal_coupling,
     ot_map,
     pusz_woronowicz,
@@ -27,8 +28,14 @@ from bwt import (
     volterra_green,
     w2_distance,
 )
-from bwt.linalg import _tol_bound
-from bwt.transport import DEFAULT_TOL_MAP, _core, _criterion_one, _spd_map
+from bwt.linalg import _live_eigs, _rank, _tol_bound
+from bwt.transport import (
+    DEFAULT_TOL_MAP,
+    INTERSECT_TOL,
+    _core,
+    _criterion_one,
+    _spd_map,
+)
 from conftest import rand_psd, rand_reachable_pair
 
 A3 = CovMatrix(np.diag([4.0, 1.0, 0.0]))
@@ -304,6 +311,70 @@ def test_spd_reachability_consistent_on_seeded_pairs():
         seen[rep.spd_exists] += 1
     # the generator must exercise both outcomes
     assert seen[True] > 0 and seen[False] > 0
+
+
+def _svd_criteria_four_and_five(a, b, tol_map=DEFAULT_TOL_MAP):
+    """Criteria 4 and 5 of spd_reachability by their singular values, the
+    route it takes unless the ranks settle them: rank(b a) against rank(b)
+    on the live eigenpairs, and the principal angles between range(b) and
+    null(a)."""
+    core = _core(a, b)
+    (w_a, u_a), (w_b, u_b) = _live_eigs(a), _live_eigs(b)
+    sv = np.linalg.svd((u_b * w_b).T @ (u_a * w_a), compute_uv=False)
+    range_eq = numeric_rank(b) == _rank(sv, core.tol * core.lam_a * core.lam_b)
+    q2 = core.bv.q2
+    trivial = (u_b.shape[1] == 0 or q2.shape[1] == 0 or _rank(
+        np.linalg.svd(u_b.T @ q2, compute_uv=False), 1.0 - INTERSECT_TOL) == 0)
+    return range_eq, trivial
+
+
+def _lower_rank_sources(rng):
+    """120 seeded pairs with rank(a) < rank(b): rank-0 sources, spectra in
+    [0.5, 2.5], and sources whose least live eigenvalue sits within a
+    relative 1e-5 of the default rank cut, on either side of it."""
+    for k in range(120):
+        n = int(rng.integers(3, 12))
+        rb = int(rng.integers(3, n + 1))
+        ra = 0 if k % 4 == 0 else int(rng.integers(1 + k % 4 // 3, rb))
+        if k % 4 == 3:
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            vals = np.zeros(n)
+            vals[:ra] = np.concatenate([[1.0], rng.uniform(0.5, 0.99, ra - 2),
+                                        [1e-10 * (1.0 + rng.uniform(-1e-5, 1e-5))]])
+            m = (q * vals) @ q.T
+            a = CovMatrix((m + m.T) / 2)
+        else:
+            a = rand_psd(rng, n, ra)
+        yield a, rand_psd(rng, n, rb)
+
+
+def test_ranks_settle_criteria_four_and_five_as_their_singular_values_do(monkeypatch):
+    # when rank(a) < rank(b) the ranks alone fail criteria 4 and 5; their
+    # singular values, computed apart, agree, and no spectrum is decomposed
+    # for them
+    svd, spectra = np.linalg.svd, []
+
+    def counted(m, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            spectra.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    ranks = []
+    for a, b in _lower_rank_sources(np.random.default_rng(28)):
+        assert numeric_rank(a) < numeric_rank(b)
+        oracle = _svd_criteria_four_and_five(a, b)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rep = spd_reachability(a, b)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        flags = (rep.spd_exists, rep.as_unique, rep.schur_zero, rep.range_eq,
+                 rep.trivial_intersection)
+        assert flags == (False,) * 3 + oracle == (False,) * 5
+        assert rep.witness is None
+        ranks.append((numeric_rank(a), np.count_nonzero(a._eigvals > 1e-5)))
+    assert spectra == []
+    # rank-0 sources, and near-cut eigenvalues counted live and not
+    assert ranks.count((0, 0)) == 30
+    assert {live - clear for live, clear in ranks[3::4]} == {0, 1}
 
 
 def _old_criterion_one(a, b, tol_map=DEFAULT_TOL_MAP):
