@@ -7,10 +7,10 @@ canonical: keys sorted, fixed separators, floats with 17 significant digits,
 so identical inputs and configuration produce byte-identical files.
 
 Exit codes: 0 success, 2 input error, 3 unreachable pair, 4 no symmetric PSD
-map exists, 5 numerical inconsistency detected.  The environment variable
-BWT_TOL_REL overrides the default relative rank tolerance.  Only ``map``
-reads --tol-map, and ``gp`` reads neither --tol-rel nor BWT_TOL_REL; every
-subcommand still rejects a tolerance that is not finite and positive.
+map exists, 5 numerical inconsistency detected.  Each subcommand takes only the
+options it reads: --json on all five, --tol-rel (else BWT_TOL_REL, else
+1e-10) on the four that read covariance files, --tol-map on ``map`` only.
+``gp`` reads no tolerance.  A tolerance must be finite and positive.
 """
 
 from __future__ import annotations
@@ -166,6 +166,9 @@ def read_matrix(path: str) -> np.ndarray:
     try:
         mat = np.array(payload, dtype=float)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
+        if isinstance(payload, list) and len({len(r) for r in payload if isinstance(r, list)}) > 1:
+            raise InvalidInput(f"{path}: matrix rows differ in length; "
+                               "entries must be numbers in rows of one length")
         raise InvalidInput(f"{path}: matrix entries must be numbers")
     if mat.ndim != 2 or mat.size == 0:
         raise InvalidInput(f"{path}: matrix payload must be a nonempty 2-d array")
@@ -183,7 +186,7 @@ def _load_cov(path: str, tol_rel: float) -> CovMatrix:
 
 
 def _emit(args, report: dict) -> None:
-    if getattr(args, "json", None):
+    if args.json:
         write_json_file(args.json, report)
 
 
@@ -191,17 +194,18 @@ def _emit(args, report: dict) -> None:
 # subcommands
 
 
-def _tol_rel(args) -> float:
-    """--tol-rel, else BWT_TOL_REL, else the default; both tolerances must be
-    finite and positive."""
-    if args.tol_rel is not None:
-        tol_rel = args.tol_rel
-    else:
-        env = os.environ.get("BWT_TOL_REL")
-        tol_rel = float(env) if env else DEFAULT_TOL_REL
-    if not (0.0 < tol_rel < np.inf and 0.0 < args.tol_map < np.inf):
+def _positive(tol: float) -> float:
+    if not 0.0 < tol < np.inf:
         raise InvalidParam("tolerances must be finite and positive")
-    return tol_rel
+    return tol
+
+
+def _tol_rel(args) -> float:
+    """--tol-rel, else BWT_TOL_REL, else the default."""
+    if args.tol_rel is not None:
+        return _positive(args.tol_rel)
+    env = os.environ.get("BWT_TOL_REL")
+    return _positive(float(env) if env else DEFAULT_TOL_REL)
 
 
 def cmd_distance(args) -> int:
@@ -229,10 +233,10 @@ def cmd_distance(args) -> int:
 
 
 def cmd_map(args) -> int:
-    tol_rel = _tol_rel(args)
+    tol_rel, tol_map = _tol_rel(args), _positive(args.tol_map)
     a = _load_cov(args.a, tol_rel)
     b = _load_cov(args.b, tol_rel)
-    spd = spd_reachability(a, b, tol_map=args.tol_map)
+    spd = spd_reachability(a, b, tol_map=tol_map)
     spd_dict = {
         "spd_exists": spd.spd_exists,
         "as_unique": spd.as_unique,
@@ -260,12 +264,11 @@ def cmd_map(args) -> int:
             # the witness is this map; without one, canonical_spd_map says why
             tmap = spd.witness
             if tmap is None:
-                tmap = canonical_spd_map(a, b, tol_map=args.tol_map)
+                tmap = canonical_spd_map(a, b, tol_map=tol_map)
             report["u12_policy"] = "deterministic"
         else:
-            policy = {"det": "deterministic", "neg": "negated"}[args.u12]
-            free = {"sym0": "symmetric_zero", "spd": "spd_canonical"}[args.free]
-            tmap = ot_map(a, b, u12_policy=policy, free_policy=free, tol_map=args.tol_map)
+            policy = "negated" if args.u12 == "neg" else "deterministic"
+            tmap = ot_map(a, b, u12_policy=policy, tol_map=tol_map)
             report["u12_policy"] = policy
         write_matrix(args.out, tmap.t)
         report["map_file"] = args.out
@@ -284,7 +287,10 @@ def cmd_map(args) -> int:
 
 
 def _t_tag(t: float) -> str:
-    return format(float(t), "g")
+    """t's file-name tag: the short "g" form where it reads back as t, else
+    the shortest repr, so distinct samples never share a file."""
+    tag = format(float(t), "g")
+    return tag if float(tag) == t else repr(float(t))
 
 
 def cmd_geodesic(args) -> int:
@@ -413,7 +419,6 @@ def cmd_barycenter(args) -> int:
 
 
 def cmd_gp(args) -> int:
-    _tol_rel(args)
     sizes = args.num_points or [500]
     rows = []
     print("n  m  points  analytic             numeric              |gap|                cross_gram")
@@ -448,14 +453,12 @@ def cmd_gp(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-rel", type=float, default=None,
-                        help="relative rank tolerance (default: BWT_TOL_REL or 1e-10); "
-                        "gp reads neither")
-    common.add_argument("--tol-map", type=float, default=DEFAULT_TOL_MAP,
-                        help="residual tolerance for map constructions; read by map only")
-    common.add_argument("--json", default=None, metavar="PATH",
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", default=None, metavar="PATH",
                         help="also write the run report as canonical JSON")
+    covs = argparse.ArgumentParser(add_help=False, parents=[report])
+    covs.add_argument("--tol-rel", type=float, default=None,
+                      help="relative rank tolerance (default: BWT_TOL_REL or 1e-10)")
 
     parser = argparse.ArgumentParser(
         prog="bwt",
@@ -464,41 +467,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("distance", parents=[common],
+    p = sub.add_parser("distance", parents=[covs],
                        help="Wasserstein distance between two covariances")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("map", parents=[common],
+    p = sub.add_parser("map", parents=[covs],
                        help="optimal transport map from the first covariance to the second")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--spd-canonical", action="store_true",
-                   help="build the canonical symmetric PSD map (exit 4 if none exists)")
-    p.add_argument("--u12", choices=["det", "neg"], default="det",
-                   help="partial-isometry choice for the rank-increasing block")
-    p.add_argument("--free", choices=["sym0", "spd"], default="sym0",
-                   help="free-block completion policy")
-    p.add_argument("--check-only", action="store_true",
-                   help="report reachability and the SPD criteria without building a map")
+    p.add_argument("--tol-map", type=float, default=DEFAULT_TOL_MAP,
+                   help="residual tolerance for the map constructions")
+    mode = p.add_mutually_exclusive_group()  # the first two build no map that --u12 picks
+    mode.add_argument("--spd-canonical", action="store_true",
+                      help="build the canonical symmetric PSD map (exit 4 if none exists)")
+    mode.add_argument("--check-only", action="store_true",
+                      help="report reachability and the SPD criteria without building a map")
+    mode.add_argument("--u12", choices=["det", "neg"], default=None,
+                      help="partial-isometry choice for the rank-increasing block (default: det)")
     p.add_argument("--out", default="tmap.json", help="output file for the map")
     p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("geodesic", parents=[common],
+    p = sub.add_parser("geodesic", parents=[covs],
                        help="sample a Wasserstein geodesic between two covariances")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--style", choices=["extreme", "zero", "scaled"], default="extreme")
     p.add_argument("--s", type=float, default=None,
-                   help="coefficient in [-1, 1] for style=scaled")
+                   help="coefficient in [-1, 1]; read by, and required for, style=scaled")
     p.add_argument("--t", type=float, nargs="+", default=[0.0, 0.25, 0.5, 0.75, 1.0],
                    help="parameter values to sample")
     p.add_argument("--out-prefix", default="gamma",
                    help="prefix for the per-sample matrix files")
     p.set_defaults(func=cmd_geodesic)
 
-    p = sub.add_parser("barycenter", parents=[common],
+    p = sub.add_parser("barycenter", parents=[covs],
                        help="Wasserstein barycenter by block-coordinate ascent")
     p.add_argument("matrices", nargs="+", help="covariance files")
     p.add_argument("--weights", default=None,
@@ -510,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output file for the barycenter")
     p.set_defaults(func=cmd_barycenter)
 
-    p = sub.add_parser("gp", parents=[common],
+    p = sub.add_parser("gp", parents=[report],
                        help="integrated Brownian motion distances: closed form vs discretized")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)

@@ -82,7 +82,8 @@ def make_param(a: CovMatrix, b: CovMatrix, style: str = "extreme",
     style="extreme" (s = 1) is the Monge geodesic induced by the
     deterministic transport map (requires rank(a) >= rank(b)), style="zero"
     (s = 0) puts nothing into n12, the maximally diffuse member, and
-    style="scaled" takes s in [-1, 1] from the caller.
+    style="scaled" takes s in [-1, 1] from the caller; passing s with any
+    other style raises InvalidParam.
     """
     core = _core(a, b)
     if style == "extreme":
@@ -97,6 +98,8 @@ def make_param(a: CovMatrix, b: CovMatrix, style: str = "extreme",
             raise InvalidParam(f"scaled coefficient must lie in [-1, 1], got {s}")
     else:
         raise InvalidParam(f"unknown geodesic style {style!r}")
+    if s is not None and style != "scaled":
+        raise InvalidParam(f"style={style!r} fixes s; only style='scaled' reads it")
 
     root = core.schur_sqrt
     if s_val == 0.0:

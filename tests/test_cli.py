@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from bwt import CovMatrix, schemas
+from bwt import CovMatrix, InvalidParam, make_param, schemas
 from bwt.cli import InvalidInput, dumps_canonical, main, read_matrix, write_matrix
 from conftest import rand_psd
 
@@ -76,6 +76,7 @@ def test_distance_input_errors(tmp_path, capsys):
     ([1.0, 0.0], "nonempty 2-d array"),
     ([[1.0, "0"], [0.0, 1.0]], "entries must be numbers"),  # numeric string
     ([[True, False], [False, True]], "entries must be numbers"),
+    ([[1.0, 0.0], [0.0, 1.0, 2.0]], "rows differ in length"),
 ])
 def test_matrix_payload_errors(tmp_path, capsys, payload, reason):
     a = write_mat(tmp_path, "a.json", A2)
@@ -132,6 +133,10 @@ def test_csv_inputs(tmp_path, capsys):
     text.write_text("1,zebra\n0,1\n")
     assert main(["distance", str(text), b]) == 2
     capsys.readouterr()
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("1,0\n0\n")
+    assert main(["distance", str(ragged), b]) == 2
+    assert "rows differ in length" in capsys.readouterr().err
 
 
 def test_map_spd_canonical_exact_bytes(tmp_path, capsys):
@@ -259,6 +264,37 @@ def test_geodesic_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_geodesic_close_samples_get_their_own_files(tmp_path, capsys):
+    # "g" gives 0.123456 for both, so the second sample overwrote the first
+    a = write_mat(tmp_path, "a.json", A3)
+    b = write_mat(tmp_path, "b.json", B3)
+    rep = str(tmp_path / "rep.json")
+    prefix = str(tmp_path / "g")
+    assert main(["geodesic", a, b, "--style", "zero", "--t", "0.1234561", "0.1234564",
+                 "--out-prefix", prefix, "--json", rep]) == 0
+    files = [s["file"] for s in load_report(rep)["samples"]]
+    assert files == [prefix + "_t0.1234561.json", prefix + "_t0.1234564.json"]
+    assert read_matrix(files[0]).tobytes() != read_matrix(files[1]).tobytes()
+    # tags that "g" already spells exactly keep their names
+    assert main(["geodesic", a, b, "--style", "zero", "--out-prefix", prefix,
+                 "--json", rep]) == 0
+    names = [Path(s["file"]).name for s in load_report(rep)["samples"]]
+    assert names == ["g_t0.json", "g_t0.25.json", "g_t0.5.json", "g_t0.75.json", "g_t1.json"]
+    capsys.readouterr()
+
+
+def test_geodesic_refuses_an_unread_coefficient(tmp_path, capsys):
+    a = write_mat(tmp_path, "a.json", A3)
+    b = write_mat(tmp_path, "b.json", B3)
+    prefix = str(tmp_path / "g")
+    assert main(["geodesic", a, b, "--style", "extreme", "--s", "0.3",
+                 "--out-prefix", prefix]) == 2
+    assert "only style='scaled' reads it" in capsys.readouterr().err
+    assert not list(tmp_path.glob("g_t*.json"))
+    with pytest.raises(InvalidParam, match="only style='scaled' reads it"):
+        make_param(CovMatrix(A2), CovMatrix(B2), style="zero", s=0.5)
+
+
 def test_barycenter_orthogonal_family(tmp_path, capsys):
     a = write_mat(tmp_path, "a.json", A2)
     b = write_mat(tmp_path, "b.json", B2)
@@ -351,6 +387,36 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     for bad in ("nan", "inf"):
         assert main(["distance", a, b, "--tol-rel", bad]) == 2
         assert main(["map", a, b, "--tol-map", bad, "--out", str(tmp_path / "t.json")]) == 2
+    capsys.readouterr()
+
+
+def test_each_subcommand_takes_only_the_tolerances_it_reads(tmp_path, capsys, monkeypatch):
+    a = write_mat(tmp_path, "a.json", A3)
+    b = write_mat(tmp_path, "b.json", B3)
+    out = tmp_path / "t.json"
+    for argv in (["distance", a, b], ["geodesic", a, b, "--out-prefix", str(tmp_path / "g")],
+                 ["barycenter", a, b, "--out", str(out)], ["gp", "1", "2", "--m", "20"]):
+        assert main(argv + ["--tol-map", "1e-8"]) == 2
+    assert main(["gp", "1", "2", "--m", "20", "--tol-rel", "1e-10"]) == 2
+    assert not list(tmp_path.glob("g_t*.json")) and not out.exists()
+    # gp builds no covariance from a file, so no rank tolerance reaches it
+    monkeypatch.setenv("BWT_TOL_REL", "nan")
+    assert main(["gp", "1", "2", "--m", "20"]) == 0
+    capsys.readouterr()
+
+
+def test_map_refuses_flags_it_would_ignore(tmp_path, capsys):
+    a = write_mat(tmp_path, "a.json", A2)
+    b = write_mat(tmp_path, "b.json", B2)
+    out, rep = tmp_path / "t.json", tmp_path / "rep.json"
+    # --spd-canonical is the one spelling of the canonical symmetric PSD map
+    assert main(["map", a, b, "--free", "spd", "--out", str(out)]) == 2
+    # neither mode builds the map whose isometry sign --u12 picks
+    for mode in ("--spd-canonical", "--check-only"):
+        for u12 in ("neg", "det"):
+            argv = ["map", a, b, mode, "--u12", u12, "--out", str(out), "--json", str(rep)]
+            assert main(argv) == 2
+    assert not out.exists() and not rep.exists()
     capsys.readouterr()
 
 
