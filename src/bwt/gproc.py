@@ -15,6 +15,7 @@ is ill-conditioned on this grid and deliberately not provided.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -29,6 +30,15 @@ from .transport import w2_distance
 GRAM_TOL = 1e-8
 
 
+def _positive_int(value, what: str) -> int:
+    """``value`` as a plain int, or InvalidParam unless it is an integer
+    >= 1: any ``numbers.Integral`` but a bool, so a NumPy integer counts
+    and ``True`` does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidParam(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Midpoint discretization of [0, 1] into m cells."""
@@ -36,8 +46,7 @@ class Grid:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise InvalidParam(f"grid size must be a positive integer, got {self.m!r}")
+        object.__setattr__(self, "m", _positive_int(self.m, "grid size"))
 
     @property
     def points(self) -> np.ndarray:
@@ -84,8 +93,7 @@ def volterra_green(n: int, grid: Grid) -> DiscretizedOperator:
     Kernel (s - t)^(n-1) / (n-1)! on t <= s, zero above the diagonal; n = 1
     is plain Brownian motion.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParam(f"integration order must be a positive integer, got {n!r}")
+    n = _positive_int(n, "integration order")
     s = grid.points
     diff = s[:, None] - s[None, :]
     kern = np.where(diff >= 0.0, diff ** (n - 1), 0.0) / factorial(n - 1)
@@ -137,9 +145,7 @@ def ibm_w2_analytic(n: int, m: int) -> float:
     numeric route; see :func:`cross_gram_certificate` to check the symmetry
     assumption on any factor pair directly.
     """
-    for k in (n, m):
-        if not isinstance(k, int) or k < 1:
-            raise InvalidParam(f"integration order must be a positive integer, got {k!r}")
+    n, m = (_positive_int(k, "integration order") for k in (n, m))
     c_n, c_m = _trace_constant(n), _trace_constant(m)
     if (n + m) % 2 == 0:
         val = c_n + c_m - 2 * _trace_constant((n + m) // 2)

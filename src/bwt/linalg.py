@@ -127,13 +127,6 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return np.where(top < 0.0, -u, u)
 
 
-def _null_basis(k: np.ndarray, cut: float) -> np.ndarray:
-    """Orthonormal columns spanning null(k): the right singular vectors of
-    ``k`` past its rank at ``cut``."""
-    _, sdiag, vt = np.linalg.svd(k)
-    return vt[_rank(sdiag, cut) :].T
-
-
 def _tol_bound(tol: float, scale) -> float:
     """``tol * (1 + scale)``, for ``scale`` a norm or an array (its Frobenius
     norm): relative to the scale when it is large, absolute near zero."""

@@ -8,9 +8,10 @@ independent routes and cross-checked:
    coordinates, and
 2. the projection identity  b^(1/2) P b^(1/2) restricted to null(a), where P
    projects onto null(g^T b^(1/2)) for any factor g of a.  With f_a and f_b
-   the thin spectral factors of a and b (n x rank), this is f_b N N^T f_b^T
-   for N an orthonormal basis of null(f_a^T f_b): one SVD of a
-   rank(a) x rank(b) matrix, with no n x n root or projector.
+   the thin spectral factors of a and b (n x rank), this is
+   f_b (I - V V^T) f_b^T for V the right singular vectors of f_a^T f_b
+   above the rank cut: one thin SVD of a rank(a) x rank(b) matrix, with no
+   null basis, n x n root or projector.
 
 The two must agree to roundoff; a larger gap raises NumericalInconsistency
 rather than silently returning either value.  When a has full rank, null(a)
@@ -31,7 +32,6 @@ from .linalg import (
     _factor_array,
     _joint_tol,
     _memoized,
-    _null_basis,
     _psd_apply,
     _rank,
     _sym,
@@ -178,12 +178,17 @@ def _projection_route(a: CovMatrix, b: CovMatrix, q2: np.ndarray) -> np.ndarray:
     U_b null(f_a^T f_b), and the projection is f_b N N^T f_b^T for N spanning
     null(f_a^T f_b).  f_a^T f_b has the singular values of g^T b^(1/2), so it
     is cut where g^T b^(1/2) was.
+
+    N N^T is I - V_l V_l^T, for V_l the right singular vectors above the
+    cut, which the thin SVD gives without a full U or V.  With Y = q2^T f_b
+    and Z = Y V_l the route is the projector form Y Y^T - Z Z^T.
     """
     tol = _joint_tol(a, b)
     f_b = _thin_factor(b)
-    v_null = _null_basis(_thin_factor(a).T @ f_b, tol * np.sqrt(a.lam_max * b.lam_max))
-    y = q2.T @ f_b @ v_null
-    return _sym(y @ y.T)
+    _, sv, vt = np.linalg.svd(_thin_factor(a).T @ f_b, full_matrices=False)
+    y = q2.T @ f_b
+    z = y @ vt[: _rank(sv, tol * np.sqrt(a.lam_max * b.lam_max))].T
+    return _sym(y @ y.T - z @ z.T)
 
 
 def schur_rank_identity(a: CovMatrix, b: CovMatrix, g: GreenFactor | None = None) -> tuple[int, int]:

@@ -12,7 +12,7 @@ representative (when one exists), couplings, and the dual potentials.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,8 +127,10 @@ class _Core:
     One context serves every construction on the pair: each pair function
     gets it from :func:`_core`, which builds it once.  It holds no reference
     to a or b, and no array in it is written after it is computed.  The
-    canonical symmetric PSD map is built by :meth:`spd_blk` on each call and
-    never kept, so a context holds no n x n array of it."""
+    canonical symmetric PSD map is built by :meth:`spd_blk` on each call,
+    except for a full-rank source: there it is the unique optimal map, and
+    :func:`_canonical_map` keeps it, checked, once per ``tol_map``; ``kept``
+    holds that (tol_map, map) pair, or None."""
 
     def __init__(self, a: CovMatrix, b: CovMatrix):
         self.tol = _joint_tol(a, b)
@@ -173,6 +175,7 @@ class _Core:
         self._schur_live = _live(sw, self.tol * self.lam_b)
         self.schur_rank = int(np.count_nonzero(self._schur_live))
         self.schur_sqrt = _psd_from_eigh(sw, su, np.sqrt, self._schur_live)
+        self.kept: tuple[float, TransportMap] | None = None
 
     def t11(self) -> np.ndarray:
         """g11^(-1) x^(1/2) g11^(-1) = h.T diag(1/s) h: the range block of
@@ -331,9 +334,11 @@ def ot_map(
 
     if free_policy == "spd_canonical":
         _check_spd(core, b, tol_map)
-        return _spd_map(core, a, b, core.spd_blk(), tol_map)
+        return _canonical_map(core, a, b, tol_map)
     if free_policy != "symmetric_zero":
         raise InvalidParam(f"unknown free-block policy {free_policy!r}")
+    if not n2:  # no u12 and no free block: the one map is the canonical one
+        return _canonical_map(core, a, b, tol_map, free_policy)
 
     if u12_policy != "supplied":
         u12_blk = core.deterministic_u12()
@@ -352,6 +357,35 @@ def _spd_map(core: _Core, a: CovMatrix, b: CovMatrix, blk: np.ndarray,
     r = core.r
     return _checked_map(a, b, core.q @ blk @ core.q.T, blk[:r, :r].copy(),
                         blk[r:, :r].copy(), np.zeros((r, core.n2)), "spd_canonical", tol_map)
+
+
+def _kept_map(core: _Core, tol_map: float) -> TransportMap | None:
+    """The map :func:`_canonical_map` keeps on ``core`` for ``tol_map``, if any."""
+    kept = core.kept
+    return kept[1] if kept is not None and kept[0] == tol_map else None
+
+
+def _canonical_map(core: _Core, a: CovMatrix, b: CovMatrix, tol_map: float,
+                   tag: str = "spd_canonical", blk: np.ndarray | None = None) -> TransportMap:
+    """The canonical symmetric PSD map of :func:`_spd_map`, built from
+    ``blk`` when the caller has it, and tagged ``tag``.
+
+    For a full-rank source (n2 = 0) there is no u12 and no free block, so
+    every policy of :func:`ot_map` gives this map too: it is the unique
+    optimal map.  It is then built and checked once per context and
+    ``tol_map``, and only the last one is kept; a map that fails its check
+    is not kept, so it raises again.  Each caller gets its own copy of
+    every array.  Threads that race here may each build it, with the same
+    bytes, as :func:`~bwt.linalg._memoized` may.
+    """
+    m = None if core.n2 else _kept_map(core, tol_map)
+    if m is None:
+        m = _spd_map(core, a, b, core.spd_blk() if blk is None else blk, tol_map)
+        if core.n2:
+            return m
+        core.kept = (tol_map, m)
+    return replace(m, t=m.t.copy(), t11=m.t11.copy(), t21=m.t21.copy(),
+                   u12=m.u12.copy(), free_blocks=tag)
 
 
 def _check_reachable(a: CovMatrix, b: CovMatrix) -> None:
@@ -402,6 +436,20 @@ def canonical_spd_map(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_M
     return ot_map(a, b, free_policy="spd_canonical", tol_map=tol_map)
 
 
+def _psd_within(m: np.ndarray, tau: float) -> bool:
+    """Whether the symmetric ``m`` has no eigenvalue below -``tau``, decided
+    as whether m + tau I has a Cholesky factor.  This differs from
+    eigvalsh(m)[0] >= -tau only within about n eps ||m|| of -tau, and
+    costs a fraction of it."""
+    shifted = m.copy()
+    shifted.flat[:: m.shape[0] + 1] += tau
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _criterion_one(core: _Core, tol_map: float, tol_abs: float) -> np.ndarray | None:
     """Criterion 1 of :func:`spd_reachability`: the canonical map's blocks
     blk in a's eigenbasis q, or None when q blk q.T is not a PSD transport
@@ -410,15 +458,18 @@ def _criterion_one(core: _Core, tol_map: float, tol_abs: float) -> np.ndarray | 
     Both tests are made on blk.  q is orthogonal and q.T b q is the pair's
     block view, so the transport residual is ||blk diag(lambda) blk.T -
     q.T b q||_F, one n x n product; blk and q blk q.T are similar, so they
-    share their least eigenvalue, which is decomposed only for a map that
-    passes the residual.
+    share their spectrum, whose PSD test (:func:`_psd_within`, at
+    tol_map (1 + max|blk|)) runs only for a map that passes the residual.
+    For a full-rank source blk is the t11 of the map :func:`_canonical_map`
+    keeps, when it keeps one, and is not formed again.
     """
-    blk = core.spd_blk()
+    kept = _kept_map(core, tol_map)
+    blk = core.spd_blk() if kept is None else kept.t11
     bv = core.bv
     b_q = np.block([[bv.b11, bv.b12], [bv.b21, bv.b22]])
     if np.linalg.norm((blk * core.lam) @ blk.T - b_q) > tol_abs:
         return None
-    if np.linalg.eigvalsh(blk)[0] < -_tol_bound(tol_map, np.abs(blk).max()):
+    if not _psd_within(blk, _tol_bound(tol_map, np.abs(blk).max())):
         return None
     return blk
 
@@ -441,9 +492,11 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
     canonical map as the block matrix blk = [[t11, t12], [t12.T, t22]] in
     a's eigenbasis q, where a is diag(lambda) and q.T b q is the pair's
     :class:`~bwt.schur.BlockView`: its transport residual is
-    ||blk diag(lambda) blk.T - q.T b q||_F and its least eigenvalue that of
-    blk.  Only a map that passes is assembled, as the witness q blk q.T,
-    the map :func:`canonical_spd_map` returns.
+    ||blk diag(lambda) blk.T - q.T b q||_F, and it is PSD when
+    blk + tol_map (1 + max|blk|) I has a Cholesky factor.  Only a map that
+    passes is assembled, as the witness q blk q.T, the map
+    :func:`canonical_spd_map` returns; for a full-rank source that is the
+    unique optimal map, built and checked once per context and tol_map.
 
     When rank(a) < rank(b) the ranks settle criteria 4 and 5, and both
     fail without a singular value: rank(b a) <= rank(a) < rank(b), and
@@ -492,7 +545,7 @@ def spd_reachability(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MA
             f"intersection={trivial_intersection}"
         )
 
-    witness = _spd_map(core, a, b, blk, tol_map) if spd_exists else None
+    witness = _canonical_map(core, a, b, tol_map, blk=blk) if spd_exists else None
     return SpdReachReport(
         spd_exists=spd_exists,
         as_unique=as_unique,

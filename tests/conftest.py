@@ -1,8 +1,21 @@
 """Shared helpers: seeded random PSD matrices with exact rank control."""
 
+import shutil
+import tempfile
+
 import numpy as np
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from bwt import CovMatrix
+
+
+def pytest_configure(config):
+    """Hypothesis caches what it reads of the sources in its home directory,
+    from collection on: keep that in a temporary directory, removed at the
+    end of the run, rather than in the checkout."""
+    home = tempfile.mkdtemp(prefix="bwt-hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 def rand_psd(rng, n, rank=None, tol_rel=None):

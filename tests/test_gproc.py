@@ -29,6 +29,20 @@ def test_grid_midpoints_and_validation():
         Grid(2.5)
 
 
+def test_sizes_and_orders_are_integers_but_not_bools():
+    # a bool is not a size or an order; a NumPy integer is, stored as an int
+    with pytest.raises(InvalidParam, match="grid size"):
+        Grid(True)
+    with pytest.raises(InvalidParam, match="integration order"):
+        volterra_green(True, Grid(4))
+    with pytest.raises(InvalidParam, match="integration order"):
+        ibm_w2_analytic(True, 2)
+    g = Grid(np.int64(4))
+    assert g == Grid(4) and type(g.m) is int
+    assert np.array_equal(volterra_green(np.int64(2), g).mat, volterra_green(2, g).mat)
+    assert ibm_w2_analytic(np.int64(1), np.int32(3)) == ibm_w2_analytic(1, 3)
+
+
 def test_operator_algebra_and_grid_mismatch():
     g = Grid(10)
     v1 = volterra_green(1, g)

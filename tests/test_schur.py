@@ -12,6 +12,7 @@ from bwt import (
     schur_complement,
     schur_rank_identity,
 )
+from bwt.linalg import _thin_factor
 from bwt.schur import _projection_route
 from conftest import rand_psd, rand_rank
 
@@ -165,3 +166,53 @@ def test_projection_route_on_thin_factors_matches_the_square_svd():
         assert np.abs(new - _old_projection_route(a, b)).max() <= 1e-12 * scale
         assert schur_complement(a, b).path_residual <= 1e-12 * scale
 
+
+
+def _null_basis_route(a, b, q2):
+    """Route 2 as f_b N N^T f_b^T on null(a), with N the right singular
+    vectors of f_a^T f_b past the cut, from its full SVD."""
+    tol = max(a.tol_rel, b.tol_rel)
+    f_b = _thin_factor(b)
+    _, s, vt = np.linalg.svd(_thin_factor(a).T @ f_b)
+    n_basis = vt[np.count_nonzero(s > tol * np.sqrt(a.lam_max * b.lam_max)):].T
+    y = q2.T @ f_b @ n_basis
+    p = y @ y.T
+    return (p + p.T) / 2
+
+
+def _offset_pair(rng, n, ra, rb):
+    """a of rank ra on the first ra axes of a random basis, b of rank rb on
+    rb axes of it from a random offset: f_a^T f_b has the rank of their
+    overlap, below min(ra, rb) whenever b reaches past range(a)."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    k = int(rng.integers(0, n - rb + 1))
+    fa = q[:, :ra] * np.sqrt(rng.uniform(0.5, 2.5, ra))
+    fb = q[:, k : k + rb] @ np.linalg.qr(rng.standard_normal((rb, rb)))[0]
+    fb = fb * np.sqrt(rng.uniform(0.5, 2.5, rb))
+    ga, gb = fa @ fa.T, fb @ fb.T
+    return CovMatrix((ga + ga.T) / 2), CovMatrix((gb + gb.T) / 2)
+
+
+@pytest.mark.parametrize("order", ["ra<rb", "ra>rb", "ra=rb"])
+def test_projection_route_matches_the_null_basis_of_the_full_svd(order):
+    # Y Y^T - Z Z^T from the thin SVD is f_b N N^T f_b^T, on random pairs
+    # and on pairs whose cross Gram is rank-deficient
+    rng = np.random.default_rng({"ra<rb": 25, "ra>rb": 26, "ra=rb": 27}[order])
+    for k in range(30):
+        n = int(rng.integers(4, 12))
+        if order == "ra<rb":
+            ra = int(rng.integers(1, n - 1))
+            rb = int(rng.integers(ra + 1, n + 1))
+        elif order == "ra>rb":
+            ra = int(rng.integers(2, n))
+            rb = int(rng.integers(1, ra))
+        else:
+            ra = rb = int(rng.integers(1, n))
+        if k % 2:
+            a, b = _offset_pair(rng, n, ra, rb)
+        else:
+            a, b = rand_psd(rng, n, ra), rand_psd(rng, n, rb)
+        assert (numeric_rank(a), numeric_rank(b)) == (ra, rb)
+        q2 = block_decompose(a, b).q2
+        gap = np.abs(_projection_route(a, b, q2) - _null_basis_route(a, b, q2)).max()
+        assert gap <= 1e-12 * (1.0 + np.linalg.norm(b.data))

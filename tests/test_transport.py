@@ -1,7 +1,11 @@
 """Transport maps, reachability reports, couplings, and the dual potential."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwt import (
     INFINITE,
@@ -29,11 +33,13 @@ from bwt import (
     w2_distance,
 )
 from bwt.linalg import _live_eigs, _rank, _tol_bound
+from bwt import transport
 from bwt.transport import (
     DEFAULT_TOL_MAP,
     INTERSECT_TOL,
     _core,
     _criterion_one,
+    _psd_within,
     _spd_map,
 )
 from conftest import rand_psd, rand_reachable_pair
@@ -433,6 +439,95 @@ def test_criterion_one_in_the_eigenbasis_matches_the_ambient_test():
         near += 0.1 <= res_t / tol_abs <= 10.0
         seen[flag] += 1
     assert seen[True] >= 10 and seen[False] >= 10 and near >= 12
+
+
+@settings(database=None, deadline=None, derandomize=True)
+@given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+       c=st.one_of(st.floats(0.0, 0.999), st.floats(1.001, 100.0)), zeros=st.integers(0, 24))
+def test_psd_test_of_criterion_one_decides_as_the_least_eigenvalue(n, seed, scale, c, zeros):
+    # a rotated spectrum whose least eigenvalue sits at -c tau, the others
+    # in [0, scale] with up to ``zeros`` of them zero: the Cholesky test of
+    # m + tau I decides as eigvalsh(m)[0] < -tau does, away from -tau; a
+    # PSD block passes with c = 0 and zero eigenvalues
+    rng = np.random.default_rng(seed)
+    w = scale * rng.uniform(0.0, 1.0, n)
+    w[1 : 1 + zeros] = 0.0
+    tau = _tol_bound(DEFAULT_TOL_MAP, scale)
+    w[0] = -c * tau
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    m = (q * w) @ q.T
+    m = (m + m.T) / 2
+    before = m.copy()
+    eig_psd = not np.linalg.eigvalsh(m)[0] < -tau
+    assert _psd_within(m, tau) == eig_psd == (c < 1.0)
+    assert m.tobytes() == before.tobytes()  # the diagonal of a copy is shifted
+
+
+def test_full_rank_source_builds_its_one_map_once_and_hands_out_copies(monkeypatch):
+    # with rank(a) = n every policy, the canonical map and the witness are
+    # the one optimal map: built and checked once per tol_map, equal byte
+    # for byte, and each caller owns its arrays
+    rng = np.random.default_rng(29)
+    a, b = rand_psd(rng, 6), rand_psd(rng, 6, rank=4)
+    checked = []  # the tag of each map built and checked
+    real = transport._checked_map
+
+    def counted(a, b, t, t11, t21, u12, tag, tol_map):
+        checked.append(tag)
+        return real(a, b, t, t11, t21, u12, tag, tol_map)
+
+    monkeypatch.setattr(transport, "_checked_map", counted)
+    # each map by name, with the free_blocks it must report
+    maps = {"witness": (spd_reachability(a, b).witness, "spd_canonical"),
+            "canonical": (canonical_spd_map(a, b), "spd_canonical")}
+    for u12, free in itertools.product(("deterministic", "negated"),
+                                       ("symmetric_zero", "spd_canonical")):
+        maps[f"{u12} {free}"] = (ot_map(a, b, u12_policy=u12, free_policy=free), free)
+    maps["supplied"] = (ot_map(a, b, u12_policy="supplied", u12=np.zeros((6, 0))),
+                        "symmetric_zero")
+    assert checked == ["spd_canonical"]
+
+    core = _core(a, b)
+    t_old = core.assemble(core.t11(), np.zeros((6, 0)), np.zeros((0, 6)), np.zeros((0, 0)))
+    ref = maps["witness"][0]
+    assert ref.t.tobytes() == t_old.tobytes()
+    for m, free in maps.values():
+        assert m.t.tobytes() == ref.t.tobytes() and m.t11.tobytes() == ref.t11.tobytes()
+        assert (m.residual_transport, m.residual_optimality) == (
+            ref.residual_transport, ref.residual_optimality)
+        assert m.free_blocks == free
+    arrays = [x for m, _ in maps.values() for x in (m.t, m.t11)]
+    assert not any(np.shares_memory(x, y) for x, y in itertools.combinations(arrays, 2))
+
+    # writing into one returned map changes no other map, nor a later call's
+    maps["canonical"][0].t[...] = 0.0
+    maps["witness"][0].t11[...] = 0.0
+    assert maps["deterministic symmetric_zero"][0].t.tobytes() == t_old.tobytes()
+    assert ot_map(a, b).t.tobytes() == t_old.tobytes()
+    assert spd_reachability(a, b).witness.t11.tobytes() == core.t11().tobytes()
+    assert canonical_spd_map(a, b).t.tobytes() == t_old.tobytes()
+    # another tol_map builds and checks the map again, for itself
+    assert ot_map(a, b, tol_map=1e-9).t.tobytes() == t_old.tobytes()
+    assert len(checked) == 2
+
+
+def test_a_failed_check_of_the_full_rank_map_is_not_kept(monkeypatch):
+    rng = np.random.default_rng(30)
+    a, b = rand_psd(rng, 5), rand_psd(rng, 5, rank=3)
+    real = transport._checked_map
+    calls = []
+
+    def failing_once(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NumericalInconsistency("transport residual")
+        return real(*args)
+
+    monkeypatch.setattr(transport, "_checked_map", failing_once)
+    with pytest.raises(NumericalInconsistency):
+        ot_map(a, b)
+    assert ot_map(a, b).residual_transport <= _tol_bound(DEFAULT_TOL_MAP, b.data)
+    assert len(calls) == 2
 
 
 def test_canonical_spd_map_at_tiny_scale_transports_the_scale_one_pair():
