@@ -40,7 +40,8 @@ covariances it keeps coming back to.  Every shared value is what a fresh
 computation on the same, immutable input would return, so results do not
 depend on what the caches hold.  Work on a pair is sized by the ranks: it
 goes through the n x rank spectral factors (:func:`_thin_factor`), not the
-zero-padded square ones.
+zero-padded square ones, and the fidelity of a pair goes through the factor
+of its lower-rank side (:func:`trace_fidelity`).
 """
 
 from __future__ import annotations
@@ -407,25 +408,31 @@ def trace_fidelity(a: CovMatrix, b: CovMatrix) -> float:
 
     Invariant under the choice of factor (all choices are unitarily
     equivalent), symmetric in (a, b), and equal to tr((a^(1/2) b a^(1/2))^(1/2)).
-    The two arguments are evaluated in a canonical order so the symmetry holds
-    exactly in floating point.
+    It is computed on the side of lower :func:`numeric_rank`, ties going to
+    the byte-wise lower data, so the decomposed matrix is min(rank(a),
+    rank(b)) square and the symmetry holds exactly in floating point.
     """
     return _trace_fidelity(a, b)
 
 
 def _trace_fidelity(a: CovMatrix, b: CovMatrix, f_b: np.ndarray | None = None) -> float:
     """:func:`trace_fidelity`, for a caller that may hold ``f_b =
-    _thin_factor(b)``: the fidelity then reads it instead of b's spectrum."""
+    _thin_factor(b)``: when b is the side taken, the fidelity reads it
+    instead of b's spectrum.  The side is the argument of lower rank, or of
+    byte-wise lower data when the ranks tie: an order of the unordered pair,
+    so (a, b) and (b, a) compute the same product."""
     _check_pair(a, b)
     f_a = None
-    if a.data.tobytes() > b.data.tobytes():
+    ra, rb = numeric_rank(a), numeric_rank(b)
+    if ra > rb or (ra == rb and a.data.tobytes() > b.data.tobytes()):
         a, b, f_a = b, a, f_b
     return _memoized("fidelity", (a, b), lambda: _fidelity(a, b, f_a))
 
 
 def _fidelity(a: CovMatrix, b: CovMatrix, f: np.ndarray | None = None) -> float:
     """The fidelity from ``f = _thin_factor(a)``, looked up unless given."""
-    # f.T b f is rank(a) x rank(a): the square factor only pads it with zeros
+    # f.T b f is rank(a) x rank(a), the lower rank of the pair: the square
+    # factor only pads it with zeros
     if f is None:
         f = _thin_factor(a)
     w = np.linalg.eigvalsh(_sym(f.T @ b.data @ f))

@@ -79,7 +79,13 @@ class TransportMap:
     partial isometry used for the rank-increasing part (zero when none is
     needed), and ``free_blocks`` the policy that filled the undetermined
     blocks.  Residuals record how well t a t.T = b and the optimality trace
-    identity hold.
+    identity hold.  ``residual_optimality`` is |tr(a t) - F| for the
+    fidelity F of the construction that built t: the pair context's sum of
+    sqrt(sigma(g11 b11 g11)) for every map of :func:`ot_map`,
+    :func:`canonical_spd_map` and :func:`spd_reachability`, and
+    :func:`~bwt.linalg.trace_fidelity` for :func:`pusz_woronowicz`.  The two
+    agree up to what the rank cuts drop: the first truncates a's spectrum,
+    the second that of the pair's lower-rank side.
     """
 
     t: np.ndarray
@@ -124,6 +130,11 @@ class _Core:
     complement is b22 - c.T c, and null(b11^(1/2) g11) = null(x) is spanned
     by the eigenvectors of x outside the live set.
 
+    x = f_a.T b f_a for the thin factor f_a of a, so the square roots of its
+    live eigenvalues, cut at the fidelity's tol lambda_a lambda_b, sum to the
+    fidelity of the pair: ``fidelity``, against which every map the context
+    builds is checked.  No other spectrum of the pair is decomposed for it.
+
     One context serves every construction on the pair: each pair function
     gets it from :func:`_core`, which builds it once.  It holds no reference
     to a or b, and no array in it is written after it is computed.  The
@@ -161,6 +172,7 @@ class _Core:
         live = _live(mu, self.tol * self.lam_a * self.lam_b)
         self.u, self._u_null = u[:, live], u[:, ~live]
         self.s = np.sqrt(mu[live])
+        self.fidelity = float(self.s.sum())
         self.h = (self.s[:, None] * self.u.T) * self.iroot
         self.c = ((self.u.T / self.s[:, None]) * self.root) @ self.bv.b12
 
@@ -252,12 +264,16 @@ def is_reachable(a: CovMatrix, b: CovMatrix) -> bool:
 
 
 def _checked_map(a: CovMatrix, b: CovMatrix, t, t11, t21, u12, tag: str,
-                 tol_map: float) -> TransportMap:
+                 tol_map: float, fidelity: float) -> TransportMap:
     """Wrap a map with its transport and optimality residuals; a transport
-    residual above ``tol_map * (1 + ||b||)`` raises NumericalInconsistency."""
+    residual above ``tol_map * (1 + ||b||)`` raises NumericalInconsistency.
+    The optimality residual is measured against ``fidelity``, that of the
+    construction: a pair context's :attr:`_Core.fidelity`, so a map checks
+    without decomposing any spectrum the context did not, or
+    :func:`~bwt.linalg.trace_fidelity` for a map built without one."""
     res_t = float(np.linalg.norm(t @ a.data @ t.T - b.data))
     # tr(a t) as the sum of a_ij t_ji: no n x n product for one scalar
-    res_o = abs(float(np.einsum("ij,ji->", a.data, t)) - trace_fidelity(a, b))
+    res_o = abs(float(np.einsum("ij,ji->", a.data, t)) - fidelity)
     if res_t > _tol_bound(tol_map, b.data):
         raise NumericalInconsistency(
             f"transport residual {res_t:.3e} exceeds {tol_map:.1e} * (1 + ||b||)"
@@ -285,7 +301,8 @@ def pusz_woronowicz(a: CovMatrix, b: CovMatrix, tol_map: float = DEFAULT_TOL_MAP
     inv_root = psd_function(a, "pinv_sqrt")
     mid = _psd_apply(_sym(root @ b.data @ root), "sqrt", _joint_tol(a, b))
     t = _sym(inv_root @ mid @ inv_root)
-    return _checked_map(a, b, t, t, np.zeros((0, a.n)), np.zeros((a.n, 0)), "none", tol_map)
+    return _checked_map(a, b, t, t, np.zeros((0, a.n)), np.zeros((a.n, 0)), "none", tol_map,
+                        trace_fidelity(a, b))
 
 
 def ot_map(
@@ -347,7 +364,7 @@ def ot_map(
     t11 = core.t11()
     t21 = (core.w21 + core.schur_sqrt @ u12_blk.T) * core.iroot
     t = core.assemble(t11, t21.T, t21, np.zeros((n2, n2)))
-    return _checked_map(a, b, t, t11, t21, u12_blk, free_policy, tol_map)
+    return _checked_map(a, b, t, t11, t21, u12_blk, free_policy, tol_map, core.fidelity)
 
 
 def _spd_map(core: _Core, a: CovMatrix, b: CovMatrix, blk: np.ndarray,
@@ -356,7 +373,8 @@ def _spd_map(core: _Core, a: CovMatrix, b: CovMatrix, blk: np.ndarray,
     coordinates: its u12 is zero, and its t21 is t12.T."""
     r = core.r
     return _checked_map(a, b, core.q @ blk @ core.q.T, blk[:r, :r].copy(),
-                        blk[r:, :r].copy(), np.zeros((r, core.n2)), "spd_canonical", tol_map)
+                        blk[r:, :r].copy(), np.zeros((r, core.n2)), "spd_canonical", tol_map,
+                        core.fidelity)
 
 
 def _kept_map(core: _Core, tol_map: float) -> TransportMap | None:

@@ -48,3 +48,14 @@ def rand_reachable_pair(rng, n):
     ra = int(rng.integers(1, n + 1))
     rb = int(rng.integers(1, ra + 1))
     return rand_psd(rng, n, ra), rand_psd(rng, n, rb)
+
+
+def schur_rank_four_pair():
+    """An n = 30 pair (arrays) whose Schur complement has rank 4: b's range
+    holds four directions of null(a), so the maps and paths need the
+    partial isometry u12."""
+    rng = np.random.default_rng(32)
+    q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+    a = (q[:, :20] * rng.uniform(0.5, 2.5, 20)) @ q[:, :20].T
+    f = np.hstack([rng.standard_normal((30, 8)) / 30, q[:, 20:24]])
+    return (a + a.T) / 2, f @ f.T

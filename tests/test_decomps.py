@@ -38,7 +38,7 @@ from bwt import (
 )
 
 from bwt import barycenter, linalg
-from conftest import rand_psd
+from conftest import rand_psd, schur_rank_four_pair
 
 README_A = np.diag([4.0, 1.0, 0.0])
 README_B = np.array([[0.0, 0.0, 0.0], [0.0, 4.0, 2.0], [0.0, 2.0, 1.0]])
@@ -54,18 +54,8 @@ def _full_rank_source_pair():
     return rand_psd(rng, 30, 30).data, rand_psd(rng, 30, 12).data
 
 
-def _schur_rank_four_pair():
-    # b's range holds four directions of null(a): the Schur complement has
-    # rank 4, so the maps and paths need the partial isometry u12
-    rng = np.random.default_rng(32)
-    q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
-    a = (q[:, :20] * rng.uniform(0.5, 2.5, 20)) @ q[:, :20].T
-    f = np.hstack([rng.standard_normal((30, 8)) / 30, q[:, 20:24]])
-    return (a + a.T) / 2, f @ f.T
-
-
 PAIRS = {"readme": lambda: (README_A, README_B), "n30": _n30_pair,
-         "full": _full_rank_source_pair, "schur4": _schur_rank_four_pair}
+         "full": _full_rank_source_pair, "schur4": schur_rank_four_pair}
 
 
 def _session(a, b, gamma):
@@ -94,11 +84,14 @@ OPS = {
 #: rank-sized pair layer they were 2/2, 12/12, 6/6, 6/6, 4/4, 9/9, 5/5 and
 #: 19/19.  Before criterion 1's PSD test took a Cholesky factor instead of
 #: an eigvalsh, spd_reachability made 11/11/6/9 and a session 18/18/9/17.
+#: Before the fidelity took the lower-rank side of its pair and maps were
+#: checked against their pair context's fidelity, spd_reachability made
+#: 10/10/5/9, ot_map 5/5/3/5 and canonical_spd_map 5/5/3/3.
 BOUNDS = {
     "w2_distance": (2, 2, 2, 2),
-    "spd_reachability": (10, 10, 5, 9),
-    "ot_map": (5, 5, 3, 5),
-    "canonical_spd_map": (5, 5, 3, 3),
+    "spd_reachability": (9, 9, 4, 9),
+    "ot_map": (3, 3, 2, 3),
+    "canonical_spd_map": (3, 3, 2, 3),
     "make_path": (3, 3, 2, 3),
     "classify_point": (9, 9, 5, 9),
     "schur_complement": (5, 5, 0, 5),
@@ -115,7 +108,7 @@ def _fresh(pair):
 
 @pytest.fixture
 def count_decomps(monkeypatch):
-    calls, shapes, inputs, options = [], [], [], []
+    calls, shapes, inputs, options, cholesky = [], [], [], [], []
     for name in ("eigh", "eigvalsh", "svd"):
         orig = getattr(np.linalg, name)
 
@@ -127,9 +120,16 @@ def count_decomps(monkeypatch):
             return _orig(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    factor = np.linalg.cholesky
+
+    def counted_cholesky(m, *args, **kwargs):
+        cholesky.append(np.shape(m))
+        return factor(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
 
     def run(fn, *args):
-        del calls[:], shapes[:], inputs[:], options[:]
+        del calls[:], shapes[:], inputs[:], options[:], cholesky[:]
         fn(*args)
         return len(calls)
 
@@ -137,6 +137,7 @@ def count_decomps(monkeypatch):
     run.shapes = shapes  # and the shapes of what they decomposed
     run.inputs = inputs  # and the arrays themselves
     run.options = options  # and the keyword arguments they were given
+    run.cholesky = cholesky  # the shapes of its Cholesky factors, not counted in calls
     return run
 
 
@@ -152,6 +153,37 @@ def test_decomposition_count_bounds(count_decomps, pair, op):
             assert op == "canonical_spd_map" and pair == "schur4"
 
     assert count_decomps(call, *_fresh(pair)) <= bound
+
+
+def _call(op, *args):
+    """``OPS[op]`` on ``args``, where canonical_spd_map's refusal on schur4
+    is an outcome like any other."""
+    try:
+        OPS[op](*args)
+    except NoSpdMap:
+        pass
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_decomposition_counts_meet_their_bounds(count_decomps, pair, op):
+    # each bound is the count: a change that saves a decomposition lowers
+    # its bound with it, and README's table of these counts stays true
+    assert count_decomps(_call, op, *_fresh(pair)) == BOUNDS[op][list(PAIRS).index(pair)]
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_only_criterion_one_takes_a_cholesky_factor(count_decomps, pair, op):
+    # criterion 1's PSD test is the one Cholesky factor of the pair layer:
+    # spd_reachability, and so a session, take at most one, and none on
+    # schur4, whose canonical map fails its residual before the PSD test
+    count_decomps(_call, op, *_fresh(pair))
+    factors = count_decomps.cholesky
+    if op in ("spd_reachability", "session") and pair != "schur4":
+        assert len(factors) <= 1
+    else:
+        assert factors == []
 
 
 @pytest.mark.parametrize("op", ["schur_complement", "w2_distance"])
@@ -268,8 +300,9 @@ def _family_decomposed(count_decomps, k: int) -> list:
 
 def _each_spectrum_once(decomposed, k: int) -> bool:
     """Each member's data decomposed exactly once, a_hat's at most once (a
-    fidelity decomposes the byte-wise lower of its pair, so a_hat is not
-    decomposed when every member sorts below it), and nothing else."""
+    fidelity decomposes the side of lower rank, ties going to the byte-wise
+    lower, so a_hat is not decomposed when every member is taken), and
+    nothing else."""
     return sorted(decomposed) in (list(range(k)), list(range(k + 1)))
 
 

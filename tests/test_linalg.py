@@ -1,8 +1,11 @@
 import ast
+import contextlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bwt
 from bwt import (
@@ -326,6 +329,47 @@ def test_trace_fidelity_symmetric_exactly_and_factor_invariant():
         assert trace_fidelity(a, b) == pytest.approx(direct, abs=1e-7 * (1 + direct))
         if numeric_rank(a) == n and numeric_rank(b) == n:
             assert trace_fidelity(a, b) == pytest.approx(direct, abs=1e-11 * (1 + direct))
+
+
+@contextlib.contextmanager
+def _decomposed(*names):
+    """Record (name, input) of each call to the ``numpy.linalg`` functions
+    ``names`` in the block."""
+    seen = []
+
+    def recorded(name, fn):
+        def call(m, *args, **kwargs):
+            seen.append((name, m))
+            return fn(m, *args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            mp.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+        yield seen
+
+
+@settings(database=None, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_fidelity_takes_the_lower_rank_side_and_is_symmetric_bit_for_bit(n, seed, data):
+    # independent ranks, tied half the time: the fidelity decomposes the
+    # spectrum of the lower-rank side, the byte-wise lower on a tie, and one
+    # r_min x r_min product; both argument orders give the same bits
+    ra = data.draw(st.integers(0, n))
+    rb = data.draw(st.one_of(st.just(ra), st.integers(0, n)))
+    rng = np.random.default_rng(seed)
+    x, y = rand_psd(rng, n, ra).data, rand_psd(rng, n, rb).data
+    side = min((x, y), key=lambda m: (numeric_rank(CovMatrix(m)), m.tobytes()))
+    values = []
+    for (p, rp), (q, rq) in (((x, ra), (y, rb)), ((y, rb), (x, ra))):
+        a, b = CovMatrix(p), CovMatrix(q)  # fresh: nothing of them is cached
+        assert (numeric_rank(a), numeric_rank(b)) == (rp, rq)
+        with _decomposed("eigh", "eigvalsh") as seen:
+            values.append(np.float64(trace_fidelity(a, b)).tobytes())
+        assert [name for name, _ in seen] == ["eigh", "eigvalsh"]
+        assert seen[0][1].tobytes() == side.tobytes()
+        assert seen[1][1].shape == (min(ra, rb),) * 2
+    assert values[0] == values[1]
 
 
 def test_green_factor_padded_roundtrip():

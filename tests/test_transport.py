@@ -42,7 +42,7 @@ from bwt.transport import (
     _psd_within,
     _spd_map,
 )
-from conftest import rand_psd, rand_reachable_pair
+from conftest import rand_psd, rand_reachable_pair, schur_rank_four_pair
 
 A3 = CovMatrix(np.diag([4.0, 1.0, 0.0]))
 B3 = CovMatrix(np.array([[0, 0, 0], [0, 4, 2], [0, 2, 1]], dtype=float))
@@ -287,6 +287,45 @@ def test_map_residuals_and_optimality_certificate_seeded():
     assert g_rel == 80
 
 
+def _cross_route_pairs():
+    """Seeded pairs with rank(a) = n and with rank(a) > rank(b), the README
+    pair and the pair whose Schur complement has rank 4."""
+    rng = np.random.default_rng(41)
+    pairs = {"readme": (A3, B3),
+             "schur4": tuple(map(CovMatrix, schur_rank_four_pair()))}
+    for i in range(3):
+        n = int(rng.integers(3, 9))
+        pairs[f"full{i}"] = rand_psd(rng, n), rand_psd(rng, n, int(rng.integers(1, n)))
+        ra = int(rng.integers(2, n + 1))
+        pairs[f"singular{i}"] = rand_psd(rng, n, ra), rand_psd(rng, n, int(rng.integers(1, ra)))
+    return pairs
+
+
+@pytest.mark.parametrize("name", sorted(_cross_route_pairs()))
+def test_maps_are_optimal_against_the_public_fidelity(name):
+    # residual_optimality reads the fidelity of the map's own pair context;
+    # the public trace_fidelity, taken on the lower-rank side of the pair, is
+    # an independent route to the same value
+    a, b = _cross_route_pairs()[name]
+    maps = {}
+    u12 = ot_map(a, b).u12
+    for policy, free in itertools.product(("deterministic", "negated", "supplied"),
+                                          ("symmetric_zero", "spd_canonical")):
+        try:
+            maps[policy, free] = ot_map(a, b, u12_policy=policy, u12=u12, free_policy=free)
+        except NoSpdMap:
+            assert name == "schur4" and free == "spd_canonical"
+    report = spd_reachability(a, b)
+    assert report.spd_exists == (name != "schur4")
+    if report.spd_exists:
+        maps["witness"] = report.witness
+        maps["canonical"] = canonical_spd_map(a, b)
+    assert len(maps) == (3 if name == "schur4" else 8)
+    fidelity = trace_fidelity(a, b)
+    for m in maps.values():
+        assert abs(np.trace(a.data @ m.t) - fidelity) <= 1e-8 * (1 + b.trace())
+
+
 def test_spd_reachability_flags_agree_and_witness_matches():
     rep = spd_reachability(A3, B3)
     assert (rep.spd_exists, rep.as_unique, rep.schur_zero, rep.range_eq,
@@ -472,9 +511,9 @@ def test_full_rank_source_builds_its_one_map_once_and_hands_out_copies(monkeypat
     checked = []  # the tag of each map built and checked
     real = transport._checked_map
 
-    def counted(a, b, t, t11, t21, u12, tag, tol_map):
+    def counted(a, b, t, t11, t21, u12, tag, tol_map, fidelity):
         checked.append(tag)
-        return real(a, b, t, t11, t21, u12, tag, tol_map)
+        return real(a, b, t, t11, t21, u12, tag, tol_map, fidelity)
 
     monkeypatch.setattr(transport, "_checked_map", counted)
     # each map by name, with the free_blocks it must report
